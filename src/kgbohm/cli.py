@@ -8,12 +8,13 @@ to JSON), sample-pairs (raw gradient-pair verdict fractions to JSON).
 Every file-writing command records a run manifest -- command, config
 reference, tolerances, parameters, output paths, artifact version -- either
 embedded in the JSON payload or as a <out>.manifest.json sidecar next to a
-CSV. Manifests carry no timestamps and no worker counts, so reruns of the
-same manifest are byte-identical even when the run parallelized internally.
+CSV. Manifests carry no timestamps, so reruns of the same manifest are
+byte-identical.
 
 Exit status: 0 means the computation succeeded, including "the construction
 is ill-defined here" answers; 1 means it could not be computed (node at the
-requested event, ill-defined trajectory start, verification mismatch);
+requested event, ill-defined trajectory start, verification mismatch, both
+candidates classified timelike);
 2 means bad input (usage, config validation, out-of-range flag).
 """
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -32,12 +34,7 @@ from .construction import (
     Tolerances,
     analyze_point,
 )
-from .errors import (
-    FieldOverflowError,
-    IllDefinedVelocityError,
-    NodeError,
-    OrthogonalDegenerateError,
-)
+from .errors import IllDefinedVelocityError, KgBohmError
 from .measure import (
     TALLY_KEYS,
     Region,
@@ -46,7 +43,7 @@ from .measure import (
     sample_pair_space,
     write_scan_csv,
 )
-from .minkowski import CausalClass, FourVector, PlaneClass, inner, plane_class
+from .minkowski import CausalClass, FourVector, PlaneClass, inner
 from .trajectory import TrajectoryConfig, integrate, write_trajectory_csv
 from .wavefield import Superposition, counterexample, load_superposition
 
@@ -68,6 +65,12 @@ class _CliError(Exception):
 def _check_positive(value: float, flag: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise _CliError(f"{flag} must be a positive finite number, got {value!r}")
+    return value
+
+
+def _at_least(value: int, low: int, flag: str) -> int:
+    if value < low:
+        raise _CliError(f"{flag} must be at least {low}, got {value}")
     return value
 
 
@@ -196,30 +199,15 @@ def cmd_classify(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
     x = _vector(args.x, "--x")
-    try:
-        report = analyze_point(w, x, tols).to_dict()
-    except NodeError as exc:
-        print(f"node: {exc}", file=sys.stderr)
+    a = analyze_point(w, x, tols)
+    if a.selection is Selection.NODE:
+        print(
+            f"node: |psi| = {abs(a.psi):.6e} is at or below --node-tol times "
+            "the amplitude sum; polar decomposition undefined",
+            file=sys.stderr,
+        )
         return 1
-    except OrthogonalDegenerateError:
-        # Still an answer: report the gradients with the construction
-        # fields nulled out (theta and the candidates do not exist here).
-        g = w.polar_gradients(x, tols.node)
-        report = {
-            "x": list(x),
-            "psi": [g.psi.real, g.psi.imag],
-            "p_mu": list(g.p_mu),
-            "s_mu": list(g.s_mu),
-            "theta": None,
-            "w_plus": None,
-            "w_minus": None,
-            "class_plus": None,
-            "class_minus": None,
-            "plane": plane_class(g.p_mu, g.s_mu, tols.causal).value,
-            "selection": Selection.ORTHOGONAL_DEGENERATE.value,
-            "gram_consistent": True,
-        }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(a.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
@@ -230,8 +218,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     res = tuple(args.resolution)
     if any(r < 1 for r in res):
         raise _CliError(f"--resolution entries must be >= 1, got {args.resolution!r}")
-    workers = int(_check_positive(args.workers, "--workers"))
-    scan = grid_scan(w, region, res, tols, workers=workers)
+    scan = grid_scan(w, region, res, tols)
     write_scan_csv(scan, args.out)
     manifest = _manifest(
         "scan",
@@ -253,16 +240,13 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     w = _load_config(args)
     x0 = _vector(args.x0, "--x0")
     step = _check_positive(args.step, "--step")
-    if args.max_steps < 1:
-        raise _CliError(f"--max-steps must be at least 1, got {args.max_steps}")
-    cfg = TrajectoryConfig(step=step, max_steps=args.max_steps, tols=tols)
+    cfg = TrajectoryConfig(
+        step=step, max_steps=_at_least(args.max_steps, 1, "--max-steps"), tols=tols
+    )
     try:
         result = integrate(w, x0, cfg)
     except IllDefinedVelocityError as exc:
         print(f"ill-defined at start: {exc}", file=sys.stderr)
-        return 1
-    except (NodeError, FieldOverflowError) as exc:
-        print(f"cannot start trajectory: {exc}", file=sys.stderr)
         return 1
     write_trajectory_csv(result, args.out)
     manifest = _manifest(
@@ -291,12 +275,9 @@ def cmd_measure(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
     region = _region(args)
-    if args.n < 1:
-        raise _CliError(f"--n must be at least 1, got {args.n}")
-    workers = int(_check_positive(args.workers, "--workers"))
-    est = estimate_spacetime_fraction(
-        w, region, args.n, args.seed, tols, workers=workers
-    )
+    _at_least(args.n, 1, "--n")
+    _at_least(args.seed, 0, "--seed")
+    est = estimate_spacetime_fraction(w, region, args.n, args.seed, tols)
     payload = est.to_dict()
     payload["manifest"] = _manifest(
         "measure",
@@ -312,11 +293,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
-    if args.n < 1:
-        raise _CliError(f"--n must be at least 1, got {args.n}")
+    _at_least(args.n, 1, "--n")
+    _at_least(args.seed, 0, "--seed")
     sigma = _check_positive(args.sigma, "--sigma")
-    workers = int(_check_positive(args.workers, "--workers"))
-    est = sample_pair_space(args.n, args.seed, sigma, tols, workers=workers)
+    est = sample_pair_space(args.n, args.seed, sigma, tols)
     payload = est.to_dict()
     payload["manifest"] = _manifest(
         "sample-pairs",
@@ -366,17 +346,20 @@ def _add_config_arguments(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_workers_argument(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="thread count; results are identical for any value (default 1)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """argparse's own matcher reads "-2.3e-05" as an option, not a negative
+    number; this one also takes the exponent forms repr writes. Subparsers
+    are built from the same class, so every subcommand inherits it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kgbohm",
         description="Bohm-type velocity construction for Klein-Gordon "
         "plane-wave superpositions: classify where it is well defined, "
@@ -426,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     _add_tolerance_arguments(p)
-    _add_workers_argument(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("trajectory", help="integrate one curve, write CSV")
@@ -459,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
     _add_tolerance_arguments(p)
-    _add_workers_argument(p)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser(
@@ -474,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
     _add_tolerance_arguments(p)
-    _add_workers_argument(p)
     p.set_defaults(func=cmd_sample_pairs)
 
     return parser
@@ -487,6 +467,10 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except KgBohmError as exc:
+        # e.g. both candidates timelike: the quantity could not be computed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,21 +15,24 @@ why they can never both be timelike. The selection rule takes whichever is
 timelike as the particle velocity; this module also surfaces the cases
 where that rule breaks down: both candidates spacelike (equivalently, p
 and s span a spacelike 2-plane), a null candidate at the tolerance
-boundary, and the excluded p.s ~ 0 case where theta itself is undefined.
+boundary, the excluded p.s ~ 0 case where theta itself is undefined, and
+the nodal set where the polar split itself is undefined.
 
 No fallback velocity is invented for the broken cases; exposing them is
-the point.
+the point. Every event gets a verdict: analyze_point and classify_pair
+return the node and p.s ~ 0 cases as values, never as exceptions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import (
     BothTimelikeError,
     FieldOverflowError,
+    NodeError,
     OrthogonalDegenerateError,
 )
 from .minkowski import (
@@ -90,11 +93,15 @@ class Selection(Enum):
     BOTH_SPACELIKE = "both_spacelike"
     BOUNDARY = "boundary"
     ORTHOGONAL_DEGENERATE = "orthogonal_degenerate"
+    NODE = "node"
 
 
 @dataclass(frozen=True)
 class PointAnalysis:
     """Full analysis of one space-time event x (contravariant components).
+
+    Fields that do not exist at the event are None: everything after psi
+    at a node; theta, the candidates and their classes where p.s ~ 0.
 
     gram_consistent records the cross-check of the selection verdict
     against the Gram-matrix plane criterion: a both-spacelike selection
@@ -104,33 +111,31 @@ class PointAnalysis:
 
     x: FourVector
     psi: complex
-    p_mu: FourVector
-    s_mu: FourVector
-    theta: float
-    w_plus: FourVector
-    w_minus: FourVector
-    class_plus: CausalClass
-    class_minus: CausalClass
-    plane: PlaneClass
     selection: Selection
     gram_consistent: bool
+    p_mu: FourVector | None = None
+    s_mu: FourVector | None = None
+    plane: PlaneClass | None = None
+    theta: float | None = None
+    w_plus: FourVector | None = None
+    w_minus: FourVector | None = None
+    class_plus: CausalClass | None = None
+    class_minus: CausalClass | None = None
 
     def to_dict(self) -> dict:
-        """JSON-friendly view: vectors as lists, psi as [re, im]."""
-        return {
-            "x": list(self.x),
-            "psi": [self.psi.real, self.psi.imag],
-            "p_mu": list(self.p_mu),
-            "s_mu": list(self.s_mu),
-            "theta": self.theta,
-            "w_plus": list(self.w_plus),
-            "w_minus": list(self.w_minus),
-            "class_plus": self.class_plus.value,
-            "class_minus": self.class_minus.value,
-            "plane": self.plane.value,
-            "selection": self.selection.value,
-            "gram_consistent": self.gram_consistent,
-        }
+        """JSON-friendly view: vectors as lists, psi as [re, im], enums as
+        their values, absent fields as None."""
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out["psi"] = [self.psi.real, self.psi.imag]
+        return out
+
+
+def _plain(v):
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, FourVector):
+        return list(v)
+    return v
 
 
 def theta(p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL) -> float:
@@ -201,10 +206,13 @@ def classify_pair(
 ) -> Selection:
     """Classify a raw (p, s) pair through theta, the candidates, and select.
 
-    Lightweight path for pair-space sampling; raises
-    OrthogonalDegenerateError for the excluded case.
+    Lightweight path for pair-space sampling; the excluded p.s ~ 0 case
+    is the ORTHOGONAL_DEGENERATE verdict.
     """
-    th = theta(p, s, tols.ortho)
+    try:
+        th = theta(p, s, tols.ortho)
+    except OrthogonalDegenerateError:
+        return Selection.ORTHOGONAL_DEGENERATE
     wp, wm = w_fields(p, s, th)
     return select(causal_class(wp, tols.causal), causal_class(wm, tols.causal))
 
@@ -225,28 +233,44 @@ def analyze_point(
     polar gradients -> theta -> candidate covectors -> causal classes ->
     selection, plus the independent Gram-criterion cross-check.
 
-    Raises NodeError on the nodal set and OrthogonalDegenerateError in the
-    excluded p.s ~ 0 case; both are verdicts about x that tallying callers
-    catch.
+    The nodal set gives the NODE verdict and the excluded p.s ~ 0 case the
+    ORTHOGONAL_DEGENERATE verdict, with the fields that do not exist there
+    left None.
     """
-    pol = w.polar_gradients(x, node_tol=tols.node)
-    th = theta(pol.p_mu, pol.s_mu, tols.ortho)
+    try:
+        pol = w.polar_gradients(x, node_tol=tols.node)
+    except NodeError:
+        return PointAnalysis(
+            x=x, psi=w.evaluate(x), selection=Selection.NODE, gram_consistent=True
+        )
+    plane = plane_class(pol.p_mu, pol.s_mu, tols.causal)
+    try:
+        th = theta(pol.p_mu, pol.s_mu, tols.ortho)
+    except OrthogonalDegenerateError:
+        return PointAnalysis(
+            x=x,
+            psi=pol.psi,
+            selection=Selection.ORTHOGONAL_DEGENERATE,
+            gram_consistent=True,
+            p_mu=pol.p_mu,
+            s_mu=pol.s_mu,
+            plane=plane,
+        )
     wp, wm = w_fields(pol.p_mu, pol.s_mu, th)
     cp = causal_class(wp, tols.causal)
     cm = causal_class(wm, tols.causal)
     sel = select(cp, cm)
-    plane = plane_class(pol.p_mu, pol.s_mu, tols.causal)
     return PointAnalysis(
         x=x,
         psi=pol.psi,
+        selection=sel,
+        gram_consistent=_gram_consistent(sel, plane),
         p_mu=pol.p_mu,
         s_mu=pol.s_mu,
+        plane=plane,
         theta=th,
         w_plus=wp,
         w_minus=wm,
         class_plus=cp,
         class_minus=cm,
-        plane=plane,
-        selection=sel,
-        gram_consistent=_gram_consistent(sel, plane),
     )

@@ -16,7 +16,7 @@ class NodeError(KgBohmError):
     """Wave function magnitude at or below the nodal threshold.
 
     The polar decomposition, and everything built on it, is undefined on
-    the nodal set.
+    the nodal set. analyze_point returns this as the NODE verdict.
     """
 
     def __init__(self, abs_psi: float, threshold: float):
@@ -32,7 +32,8 @@ class OrthogonalDegenerateError(KgBohmError):
     """p.s is numerically zero, so the hyperbolic mixing angle is undefined.
 
     This is the excluded orthogonal case; it is a verdict about the point,
-    not a bug, and callers that tally outcomes catch it.
+    not a bug, and analyze_point and classify_pair return it as the
+    ORTHOGONAL_DEGENERATE verdict.
     """
 
     def __init__(self, p_dot_s: float, threshold: float):
@@ -67,8 +68,8 @@ class FieldOverflowError(KgBohmError):
 class IllDefinedVelocityError(KgBohmError):
     """No unique timelike candidate exists at the point.
 
-    Carries the selection verdict (both spacelike, boundary, or
-    orthogonal degenerate) that made the velocity ill-defined.
+    Carries the selection verdict (both spacelike, boundary, orthogonal
+    degenerate, or node) that made the velocity ill-defined.
     """
 
     def __init__(self, selection: "Selection"):

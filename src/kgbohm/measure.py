@@ -10,19 +10,18 @@ positive sampled fraction is a direct witness that it has positive measure.
 Sampling is uniform over the box for space-time and isotropic normal for
 pair space. Proportions carry 95% Wilson intervals, which stay honest for
 fractions near zero. Samples are drawn in fixed-size chunks, each chunk
-seeded from (seed, chunk index), so serial and parallel runs tally
-identically and merges are order-deterministic. Near-node and degenerate
-samples land in their own buckets rather than being discarded, keeping
-totals conserved and biases visible.
+seeded from (seed, chunk index), so a tally depends only on (seed, n).
+Near-node and degenerate samples land in their own buckets rather than
+being discarded, keeping totals conserved and biases visible.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .construction import (
     analyze_point,
     classify_pair,
 )
-from .errors import NodeError, OrthogonalDegenerateError
 from .minkowski import FourVector, inner
 from .wavefield import Superposition
 
@@ -51,18 +49,13 @@ __all__ = [
     "write_scan_csv",
 ]
 
-# Verdict buckets: the five selection outcomes plus the nodal set.
-TALLY_KEYS = (
-    "plus_timelike",
-    "minus_timelike",
-    "both_spacelike",
-    "boundary",
-    "orthogonal_degenerate",
-    "node",
-)
+# Verdict buckets, one per selection outcome.
+TALLY_KEYS = tuple(s.value for s in Selection)
 
 WILSON_Z95 = 1.959963984540054
 
+# Samples per RNG stream. Chunk i draws from default_rng([seed, i]), so
+# every tally depends on this value.
 _CHUNK = 4096
 
 
@@ -167,39 +160,10 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z95) -> tuple[float, float
     return (lo, hi)
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [_CHUNK] * (n // _CHUNK)
-    if n % _CHUNK:
-        sizes.append(n % _CHUNK)
-    return sizes
-
-
-def _tally_chunks(
-    chunk_fn: Callable[[int, int], dict[str, int]],
-    sizes: Iterable[int],
-    workers: int,
-) -> dict[str, int]:
-    """Run per-chunk tallies and merge them in chunk order."""
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda job: chunk_fn(*job), jobs))
-    else:
-        partials = [chunk_fn(idx, count) for idx, count in jobs]
-    total = {k: 0 for k in TALLY_KEYS}
-    for part in partials:
-        for k in TALLY_KEYS:
-            total[k] += part[k]
-    return total
-
-
-def _verdict_key(w: Superposition, x: FourVector, tols: Tolerances) -> str:
-    try:
-        return analyze_point(w, x, tols).selection.value
-    except NodeError:
-        return "node"
-    except OrthogonalDegenerateError:
-        return Selection.ORTHOGONAL_DEGENERATE.value
+def _chunk_rngs(n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
+    """(rng, sample count) per fixed-size chunk, seeded from (seed, index)."""
+    for idx, start in enumerate(range(0, n, _CHUNK)):
+        yield np.random.default_rng([seed, idx]), min(_CHUNK, n - start)
 
 
 def _build_estimate(
@@ -228,30 +192,20 @@ def estimate_spacetime_fraction(
     n: int,
     seed: int,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    workers: int = 1,
 ) -> FractionEstimate:
     """Monte Carlo verdict fractions over n uniform samples of the region.
 
     Degenerate outcomes (node, orthogonal degenerate) are tallied in their
-    own buckets, never raised. Identical (seed, n) reproduce identical
-    tallies regardless of workers.
+    own buckets. Identical (seed, n) reproduce identical tallies.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     lo = np.asarray(region.lo, dtype=float)
     span = np.asarray(region.hi, dtype=float) - lo
-
-    def chunk_tally(idx: int, count: int) -> dict[str, int]:
-        rng = np.random.default_rng([seed, idx])
-        u = rng.random((count, 4))
-        xs = (lo + u * span).tolist()
-        out = {k: 0 for k in TALLY_KEYS}
-        for row in xs:
-            x = FourVector(row[0], row[1], row[2], row[3])
-            out[_verdict_key(w, x, tols)] += 1
-        return out
-
-    counts = _tally_chunks(chunk_tally, _chunk_sizes(n), workers)
+    counts = dict.fromkeys(TALLY_KEYS, 0)
+    for rng, count in _chunk_rngs(n, seed):
+        for row in (lo + rng.random((count, 4)) * span).tolist():
+            counts[analyze_point(w, FourVector(*row), tols).selection.value] += 1
     return _build_estimate(counts, n, seed, region=region)
 
 
@@ -260,7 +214,6 @@ def sample_pair_space(
     seed: int,
     sigma: float = 1.0,
     tols: Tolerances = DEFAULT_TOLERANCES,
-    workers: int = 1,
 ) -> FractionEstimate:
     """Verdict fractions over n raw (p, s) pairs with iid normal components.
 
@@ -274,21 +227,12 @@ def sample_pair_space(
         raise ValueError("n must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-
-    def chunk_tally(idx: int, count: int) -> dict[str, int]:
-        rng = np.random.default_rng([seed, idx])
-        z = (rng.standard_normal((count, 8)) * sigma).tolist()
-        out = {k: 0 for k in TALLY_KEYS}
-        for row in z:
+    counts = dict.fromkeys(TALLY_KEYS, 0)
+    for rng, count in _chunk_rngs(n, seed):
+        for row in (rng.standard_normal((count, 8)) * sigma).tolist():
             p = FourVector(row[0], row[1], row[2], row[3])
             s = FourVector(row[4], row[5], row[6], row[7])
-            try:
-                out[classify_pair(p, s, tols).value] += 1
-            except OrthogonalDegenerateError:
-                out["orthogonal_degenerate"] += 1
-        return out
-
-    counts = _tally_chunks(chunk_tally, _chunk_sizes(n), workers)
+            counts[classify_pair(p, s, tols).value] += 1
     return _build_estimate(counts, n, seed, sigma=sigma)
 
 
@@ -305,15 +249,12 @@ def grid_scan(
     region: Region,
     resolution: tuple[int, int, int, int],
     tols: Tolerances = DEFAULT_TOLERANCES,
-    workers: int = 1,
 ) -> ScanResult:
     """Evaluate the analysis on the regular lattice of the region.
 
     Emits one cell per lattice point in row-major order (x0 slowest) with
-    the verdict, theta, and the two candidate quadratic forms; degenerate
-    cells carry NaN numerics. The scan is partitioned into fixed-size
-    chunks of the flat index whose concatenation does not depend on
-    workers.
+    the verdict, theta, and the two candidate quadratic forms; node and
+    degenerate cells carry NaN numerics.
     """
     res = tuple(int(r) for r in resolution)
     if len(res) != 4 or any(r < 1 for r in res):
@@ -321,43 +262,15 @@ def grid_scan(
     axes = [
         _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
     ]
-    total = res[0] * res[1] * res[2] * res[3]
     nan = float("nan")
-
-    def cell_at(flat: int) -> ScanCell:
-        i0, rem = divmod(flat, res[1] * res[2] * res[3])
-        i1, rem = divmod(rem, res[2] * res[3])
-        i2, i3 = divmod(rem, res[3])
-        x = FourVector(axes[0][i0], axes[1][i1], axes[2][i2], axes[3][i3])
-        try:
-            a = analyze_point(w, x, tols)
-        except NodeError:
-            return ScanCell(*x, "node", nan, nan, nan)
-        except OrthogonalDegenerateError:
-            return ScanCell(
-                *x, Selection.ORTHOGONAL_DEGENERATE.value, nan, nan, nan
-            )
-        return ScanCell(
-            *x,
-            a.selection.value,
-            a.theta,
-            inner(a.w_plus, a.w_plus),
-            inner(a.w_minus, a.w_minus),
-        )
-
-    def chunk_cells(start: int) -> list[ScanCell]:
-        stop = min(start + _CHUNK, total)
-        return [cell_at(flat) for flat in range(start, stop)]
-
-    starts = list(range(0, total, _CHUNK))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk_cells, starts))
-    else:
-        parts = [chunk_cells(s) for s in starts]
     cells: list[ScanCell] = []
-    for part in parts:
-        cells.extend(part)
+    for x in itertools.product(*axes):
+        a = analyze_point(w, FourVector(*x), tols)
+        if a.theta is None:
+            numerics = (nan, nan, nan)
+        else:
+            numerics = (a.theta, inner(a.w_plus, a.w_plus), inner(a.w_minus, a.w_minus))
+        cells.append(ScanCell(*x, a.selection.value, *numerics))
     return ScanResult(region=region, resolution=res, cells=cells)
 
 

@@ -27,12 +27,7 @@ from .construction import (
     Tolerances,
     analyze_point,
 )
-from .errors import (
-    FieldOverflowError,
-    IllDefinedVelocityError,
-    NodeError,
-    OrthogonalDegenerateError,
-)
+from .errors import FieldOverflowError, IllDefinedVelocityError
 from .minkowski import FourVector, inner, raise_index
 from .wavefield import Superposition
 
@@ -54,6 +49,15 @@ class Termination(Enum):
     ENTERED_BOUNDARY = "entered_boundary"
     HIT_NODE = "hit_node"
     OVERFLOW = "overflow"
+
+
+# Why a path stops, by the verdict at the stage point that stopped it.
+_TERMINATION = {
+    Selection.BOTH_SPACELIKE: Termination.ENTERED_BOTH_SPACELIKE,
+    Selection.ORTHOGONAL_DEGENERATE: Termination.ENTERED_ORTHOGONAL_DEGENERATE,
+    Selection.BOUNDARY: Termination.ENTERED_BOUNDARY,
+    Selection.NODE: Termination.HIT_NODE,
+}
 
 
 @dataclass(frozen=True)
@@ -98,10 +102,7 @@ class TrajectoryResult:
 def _tangent(
     w: Superposition, x: FourVector, tols: Tolerances
 ) -> tuple[FourVector, PointAnalysis]:
-    try:
-        a = analyze_point(w, x, tols)
-    except OrthogonalDegenerateError as e:
-        raise IllDefinedVelocityError(Selection.ORTHOGONAL_DEGENERATE) from e
+    a = analyze_point(w, x, tols)
     if a.selection is Selection.PLUS_TIMELIKE:
         w_sel = a.w_plus
     elif a.selection is Selection.MINUS_TIMELIKE:
@@ -122,26 +123,12 @@ def velocity(
 
     Selects the timelike candidate, raises its index, normalizes, and
     orients it forward in time. Raises IllDefinedVelocityError carrying
-    the verdict when no unique timelike candidate exists, and NodeError on
-    the nodal set. Scaling psi by a nonzero constant leaves the result
+    the verdict when no unique timelike candidate exists, the nodal set
+    included. Scaling psi by a nonzero constant leaves the result
     unchanged (constants drop out of grad(psi)/psi).
     """
     u, _ = _tangent(w, x, tols)
     return u
-
-
-def _termination_for(exc: Exception) -> Termination:
-    if isinstance(exc, NodeError):
-        return Termination.HIT_NODE
-    if isinstance(exc, FieldOverflowError):
-        return Termination.OVERFLOW
-    if isinstance(exc, IllDefinedVelocityError):
-        if exc.selection is Selection.BOTH_SPACELIKE:
-            return Termination.ENTERED_BOTH_SPACELIKE
-        if exc.selection is Selection.ORTHOGONAL_DEGENERATE:
-            return Termination.ENTERED_ORTHOGONAL_DEGENERATE
-        return Termination.ENTERED_BOUNDARY
-    raise exc
 
 
 def integrate(
@@ -183,8 +170,12 @@ def integrate(
             k4, _unused = _tangent(w, stage_x, tols)
             stage_x = x + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
             u_next, a_next = _tangent(w, stage_x, tols)
-        except (IllDefinedVelocityError, NodeError, FieldOverflowError) as e:
-            termination = _termination_for(e)
+        except IllDefinedVelocityError as e:
+            termination = _TERMINATION[e.selection]
+            failed_at = stage_x
+            break
+        except FieldOverflowError:
+            termination = Termination.OVERFLOW
             failed_at = stage_x
             break
         x = stage_x

@@ -97,8 +97,12 @@ class Superposition:
     amp_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.mass, (int, float)) and self.mass > 0):
-            raise ValueError(f"mass must be a positive real, got {self.mass!r}")
+        if not (
+            isinstance(self.mass, (int, float))
+            and math.isfinite(self.mass)
+            and self.mass > 0
+        ):
+            raise ValueError(f"mass must be a positive finite real, got {self.mass!r}")
         object.__setattr__(self, "mass", float(self.mass))
         modes = tuple(self.modes)
         if len(modes) < 1:

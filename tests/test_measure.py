@@ -7,6 +7,7 @@ from kgbohm import (
     TALLY_KEYS,
     FourVector,
     Region,
+    Selection,
     estimate_spacetime_fraction,
     grid_scan,
     sample_pair_space,
@@ -72,6 +73,18 @@ class TestRegion:
             )
 
 
+def test_tally_keys_are_the_selection_verdicts():
+    # the order is the key order of every tally and printed report
+    assert TALLY_KEYS == tuple(s.value for s in Selection) == (
+        "plus_timelike",
+        "minus_timelike",
+        "both_spacelike",
+        "boundary",
+        "orthogonal_degenerate",
+        "node",
+    )
+
+
 class TestSpacetimeEstimate:
     @pytest.mark.parametrize("n", [1, 4097])
     def test_counts_conserve_samples(self, cx, n):
@@ -92,11 +105,6 @@ class TestSpacetimeEstimate:
         a = estimate_spacetime_fraction(cx, BOX, n=2000, seed=5)
         b = estimate_spacetime_fraction(cx, BOX, n=2000, seed=6)
         assert a.counts != b.counts
-
-    def test_workers_do_not_change_the_tally(self, cx):
-        serial = estimate_spacetime_fraction(cx, BOX, n=5000, seed=2, workers=1)
-        threaded = estimate_spacetime_fraction(cx, BOX, n=5000, seed=2, workers=3)
-        assert serial.counts == threaded.counts
 
     def test_identically_zero_wave_is_all_node(self, null_field):
         est = estimate_spacetime_fraction(null_field, BOX, n=64, seed=0)
@@ -134,11 +142,6 @@ class TestPairSpaceEstimate:
         b = sample_pair_space(n=4097, seed=9, sigma=2.0)
         assert a.counts == b.counts
         assert b.sigma == 2.0
-
-    def test_workers_do_not_change_the_tally(self):
-        serial = sample_pair_space(n=5000, seed=4, workers=1)
-        threaded = sample_pair_space(n=5000, seed=4, workers=3)
-        assert serial.counts == threaded.counts
 
     def test_to_dict_records_sigma(self):
         d = json.loads(json.dumps(sample_pair_space(n=100, seed=0, sigma=3.0).to_dict()))
@@ -203,12 +206,6 @@ class TestGridScan:
         assert scan.fraction("both_spacelike") == counts["both_spacelike"] / 256
         with pytest.raises(KeyError):
             scan.fraction("no_such_bucket")
-
-    def test_workers_do_not_change_the_cells(self, cx):
-        # 9^4 = 6561 points spans two chunks
-        serial = grid_scan(cx, BOX, (9, 9, 9, 9), workers=1)
-        threaded = grid_scan(cx, BOX, (9, 9, 9, 9), workers=4)
-        assert serial.cells == threaded.cells
 
     @pytest.mark.parametrize("resolution", [(0, 1, 1, 1), (1, 1, 1), (1, 1, 1, -2)])
     def test_rejects_bad_resolution(self, cx, resolution):

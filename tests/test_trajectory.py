@@ -7,7 +7,6 @@ from kgbohm import (
     FieldOverflowError,
     FourVector,
     IllDefinedVelocityError,
-    NodeError,
     Selection,
     Termination,
     Tolerances,
@@ -47,8 +46,9 @@ class TestVelocity:
         assert exc_info.value.selection is Selection.ORTHOGONAL_DEGENERATE
 
     def test_node_propagates(self, null_field):
-        with pytest.raises(NodeError):
+        with pytest.raises(IllDefinedVelocityError) as exc_info:
             velocity(null_field, ORIGIN)
+        assert exc_info.value.selection is Selection.NODE
 
     def test_rescaling_the_wave_leaves_velocity_unchanged(self, two_mode):
         from kgbohm import PlaneWaveMode, Superposition
@@ -126,8 +126,9 @@ class TestIntegrate:
             integrate(cx, ORIGIN, TrajectoryConfig(step=0.1, max_steps=5))
 
     def test_node_start_raises(self, null_field):
-        with pytest.raises(NodeError):
+        with pytest.raises(IllDefinedVelocityError) as exc_info:
             integrate(null_field, ORIGIN, TrajectoryConfig(step=0.1, max_steps=5))
+        assert exc_info.value.selection is Selection.NODE
 
     def test_reruns_are_bit_identical(self, cx):
         cfg = TrajectoryConfig(step=0.02, max_steps=50)

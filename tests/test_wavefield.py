@@ -26,6 +26,11 @@ class TestValidation:
             Superposition(mass=0.0, modes=(PlaneWaveMode(k=k, c=1 + 0j),))
         with pytest.raises(ValueError, match="mass"):
             Superposition(mass=-1.0, modes=(PlaneWaveMode(k=k, c=1 + 0j),))
+        # with an infinite mass the on-shell check compares inf with inf
+        # and passes for any k
+        for m in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="mass"):
+                Superposition(mass=m, modes=(PlaneWaveMode(k=k, c=1 + 0j),))
 
     def test_needs_at_least_one_mode(self):
         with pytest.raises(ValueError, match="mode"):
