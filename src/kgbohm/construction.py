@@ -21,6 +21,17 @@ the nodal set where the polar split itself is undefined.
 No fallback velocity is invented for the broken cases; exposing them is
 the point. Every event gets a verdict: analyze_point and classify_pair
 return the node and p.s ~ 0 cases as values, never as exceptions.
+
+classify_batch is the same verdict on N pairs at once, for the bulk paths
+(measure, sample-pairs, scan). It applies the scalar path's thresholds to
+the scalar path's quantities: the p.s ~ 0 test of theta, the candidates
+exp(+-theta) p + s, causal_class's null band and select's table. It does
+not use the closed-form Gram criterion, which would need a null band of
+its own; this way each tolerance band has one definition on both paths,
+and the Gram criterion stays an independent cross-check. Rows it cannot
+decide the way the scalar path would (exp(+-theta) not finite, both
+candidates timelike, a candidate's tolerance scale zero, subnormal or
+infinite) come back undecided, for the scalar path to decide or raise on.
 """
 
 from __future__ import annotations
@@ -28,6 +39,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+
+import numpy as np
 
 from .errors import (
     BothTimelikeError,
@@ -56,6 +69,7 @@ __all__ = [
     "w_fields",
     "select",
     "classify_pair",
+    "classify_batch",
     "analyze_point",
 ]
 
@@ -215,6 +229,64 @@ def classify_pair(
         return Selection.ORTHOGONAL_DEGENERATE
     wp, wm = w_fields(p, s, th)
     return select(causal_class(wp, tols.causal), causal_class(wm, tols.causal))
+
+
+_CODE = {sel: i for i, sel in enumerate(Selection)}  # classify_batch's verdict codes
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
+
+def classify_batch(
+    p: np.ndarray, s: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """classify_pair on every row of the gradient pairs p, s (N, 4).
+
+    Returns (codes, theta, w_plus_sq, w_minus_sq): codes index
+    tuple(Selection), and -1 marks a row left undecided (see the module
+    docstring) for classify_pair or analyze_point. theta and the candidate
+    norms w.w are NaN where p.s ~ 0. Each quantity is computed with the
+    scalar path's operations in its order; only numpy's arcsinh and exp may
+    differ from math's in the last bit.
+    """
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 4 or s.shape != p.shape:
+        raise ValueError(f"p and s must both have shape (N, 4), got {p.shape}, {s.shape}")
+    p, s = p.T, s.T  # one row per component, as inner and euclidean_sq read them
+    with np.errstate(all="ignore"):
+        q = inner(p, s)
+        scale = np.sqrt(euclidean_sq(p)) * np.sqrt(euclidean_sq(s))
+        degenerate = np.abs(q) <= tols.ortho * scale
+        th = np.arcsinh((inner(p, p) - inner(s, s)) / (2.0 * q))
+        ep = np.exp(th)
+        em = np.exp(-th)
+        wp = p * ep + s
+        wm = p * -em + s
+        wp_sq, wm_sq = inner(wp, wp), inner(wm, wm)
+        thr_p = tols.causal * euclidean_sq(wp)
+        thr_m = tols.causal * euclidean_sq(wm)
+        plus = wp_sq > thr_p
+        minus = wm_sq > thr_m
+        undecided = (
+            ~(np.isfinite(ep) & np.isfinite(em))
+            | ~((thr_p >= _TINY) & (thr_p <= _HUGE))
+            | ~((thr_m >= _TINY) & (thr_m <= _HUGE))
+            | (plus & minus)
+        )
+        boundary = (np.abs(wp_sq) <= thr_p) | (np.abs(wm_sq) <= thr_m)
+    codes = np.select(
+        [degenerate, undecided, boundary, plus, minus],
+        [
+            _CODE[Selection.ORTHOGONAL_DEGENERATE],
+            -1,
+            _CODE[Selection.BOUNDARY],
+            _CODE[Selection.PLUS_TIMELIKE],
+            _CODE[Selection.MINUS_TIMELIKE],
+        ],
+        default=_CODE[Selection.BOTH_SPACELIKE],
+    )
+    th[degenerate] = wp_sq[degenerate] = wm_sq[degenerate] = np.nan
+    return codes, th, wp_sq, wm_sq
 
 
 def _gram_consistent(selection: Selection, plane: PlaneClass) -> bool:

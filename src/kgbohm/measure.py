@@ -13,11 +13,15 @@ fractions near zero. Samples are drawn in fixed-size chunks, each chunk
 seeded from (seed, chunk index), so a tally depends only on (seed, n).
 Near-node and degenerate samples land in their own buckets rather than
 being discarded, keeping totals conserved and biases visible.
+
+Verdicts come from the batch kernel (Superposition.polar_gradients_batch
+and construction.classify_batch), a chunk or a whole lattice at a time;
+the rows it leaves undecided go through analyze_point or classify_pair,
+which decide or raise exactly as they do for a single event.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +34,7 @@ from .construction import (
     Selection,
     Tolerances,
     analyze_point,
+    classify_batch,
     classify_pair,
 )
 from .minkowski import FourVector, inner
@@ -49,8 +54,10 @@ __all__ = [
     "write_scan_csv",
 ]
 
-# Verdict buckets, one per selection outcome.
+# Verdict buckets, one per selection outcome; verdict code i is bucket i.
 TALLY_KEYS = tuple(s.value for s in Selection)
+_SELECTIONS = tuple(Selection)
+_NODE = _SELECTIONS.index(Selection.NODE)
 
 WILSON_Z95 = 1.959963984540054
 
@@ -186,6 +193,27 @@ def _build_estimate(
     )
 
 
+def _verdicts(
+    w: Superposition, x: np.ndarray, tols: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Verdict codes, theta and candidate norms w.w at the events x (N, 4).
+
+    Node rows carry NaN numerics, like p.s ~ 0 rows. Rows classify_batch
+    leaves undecided go through analyze_point.
+    """
+    _, p, s, node = w.polar_gradients_batch(x, tols.node)
+    codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
+    codes[node] = _NODE
+    for i in np.flatnonzero(codes < 0):
+        a = analyze_point(w, FourVector(*x[i].tolist()), tols)
+        codes[i] = _SELECTIONS.index(a.selection)
+        if a.theta is not None:
+            th[i] = a.theta
+            wp_sq[i] = inner(a.w_plus, a.w_plus)
+            wm_sq[i] = inner(a.w_minus, a.w_minus)
+    return codes, th, wp_sq, wm_sq
+
+
 def estimate_spacetime_fraction(
     w: Superposition,
     region: Region,
@@ -202,11 +230,11 @@ def estimate_spacetime_fraction(
         raise ValueError("n must be >= 1")
     lo = np.asarray(region.lo, dtype=float)
     span = np.asarray(region.hi, dtype=float) - lo
-    counts = dict.fromkeys(TALLY_KEYS, 0)
+    tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
     for rng, count in _chunk_rngs(n, seed):
-        for row in (lo + rng.random((count, 4)) * span).tolist():
-            counts[analyze_point(w, FourVector(*row), tols).selection.value] += 1
-    return _build_estimate(counts, n, seed, region=region)
+        codes = _verdicts(w, lo + rng.random((count, 4)) * span, tols)[0]
+        tally += np.bincount(codes, minlength=len(TALLY_KEYS))
+    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, region=region)
 
 
 def sample_pair_space(
@@ -227,13 +255,16 @@ def sample_pair_space(
         raise ValueError("n must be >= 1")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    counts = dict.fromkeys(TALLY_KEYS, 0)
+    tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
     for rng, count in _chunk_rngs(n, seed):
-        for row in (rng.standard_normal((count, 8)) * sigma).tolist():
-            p = FourVector(row[0], row[1], row[2], row[3])
-            s = FourVector(row[4], row[5], row[6], row[7])
-            counts[classify_pair(p, s, tols).value] += 1
-    return _build_estimate(counts, n, seed, sigma=sigma)
+        pairs = rng.standard_normal((count, 8)) * sigma
+        codes = classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
+        for i in np.flatnonzero(codes < 0):
+            row = pairs[i].tolist()
+            sel = classify_pair(FourVector(*row[:4]), FourVector(*row[4:]), tols)
+            codes[i] = _SELECTIONS.index(sel)
+        tally += np.bincount(codes, minlength=len(TALLY_KEYS))
+    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, sigma=sigma)
 
 
 def _axis_coords(lo: float, hi: float, res: int) -> list[float]:
@@ -262,15 +293,14 @@ def grid_scan(
     axes = [
         _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
     ]
-    nan = float("nan")
-    cells: list[ScanCell] = []
-    for x in itertools.product(*axes):
-        a = analyze_point(w, FourVector(*x), tols)
-        if a.theta is None:
-            numerics = (nan, nan, nan)
-        else:
-            numerics = (a.theta, inner(a.w_plus, a.w_plus), inner(a.w_minus, a.w_minus))
-        cells.append(ScanCell(*x, a.selection.value, *numerics))
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
+    cells = [
+        ScanCell(*xs, TALLY_KEYS[c], *numerics)
+        for xs, c, *numerics in zip(
+            x.tolist(), codes.tolist(), th.tolist(), wp_sq.tolist(), wm_sq.tolist()
+        )
+    ]
     return ScanResult(region=region, resolution=res, cells=cells)
 
 

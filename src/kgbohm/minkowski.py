@@ -7,13 +7,15 @@ Natural units hbar = c = 1, so gradient covectors carry units of mass.
 
 Causal verdicts are tolerance-based and relative to a Euclidean component
 scale, which makes them invariant under overall rescaling well above the
-tolerance. The zero vector classifies as null; callers treat null as a
-boundary verdict, not an error.
+tolerance; vectors so small or large that their squares under- or overflow
+are classified after an exact power-of-two rescale. The zero vector
+classifies as null; callers treat null as a boundary verdict, not an error.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -31,6 +33,9 @@ __all__ = [
 ]
 
 DEFAULT_CLASS_TOL = 1e-9
+
+_TINY = sys.float_info.min  # smallest normal double
+_HUGE = sys.float_info.max
 
 
 class CausalClass(Enum):
@@ -109,9 +114,11 @@ class FourVector(NamedTuple):
 def inner(a: FourVector, b: FourVector) -> float:
     """Minkowski inner product a0*b0 - a1*b1 - a2*b2 - a3*b3.
 
-    Symmetric and bilinear; assumes finite inputs.
+    Symmetric and bilinear; assumes finite inputs. Any sequence of four
+    components works, so a (4, N) numpy array (one row per component)
+    gives the N products with the same operations in the same order.
     """
-    return a.c0 * b.c0 - a.c1 * b.c1 - a.c2 * b.c2 - a.c3 * b.c3
+    return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
 def raise_index(v: FourVector) -> FourVector:
@@ -124,12 +131,25 @@ def raise_index(v: FourVector) -> FourVector:
 
 
 def euclidean_sq(v: FourVector) -> float:
-    """Component square sum c0^2 + c1^2 + c2^2 + c3^2 (tolerance scale)."""
-    return v.c0 * v.c0 + v.c1 * v.c1 + v.c2 * v.c2 + v.c3 * v.c3
+    """Component square sum c0^2 + c1^2 + c2^2 + c3^2 (tolerance scale).
+
+    Like inner, also takes a (4, N) array of components.
+    """
+    return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
 
 
 def euclidean_norm(v: FourVector) -> float:
     return math.sqrt(euclidean_sq(v))
+
+
+def _rescaled(v: FourVector) -> FourVector:
+    """v times the power of two that brings its largest |component| into
+    [0.5, 1); the zero vector and non-finite vectors come back unchanged."""
+    m = max(abs(v.c0), abs(v.c1), abs(v.c2), abs(v.c3))
+    if m == 0.0 or not math.isfinite(m):
+        return v
+    e = -math.frexp(m)[1]
+    return FourVector(*(math.ldexp(c, e) for c in v))
 
 
 def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
@@ -137,9 +157,15 @@ def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
 
     Null means |v.v| <= tol * (component square sum), so the verdict is
     unit-independent and the zero vector is null rather than an error.
+    Where that threshold is zero, subnormal or infinite (the squares under-
+    or overflowed), both sides are computed again on v rescaled by an exact
+    power of two, which moves neither of them relative to the other.
     """
-    q = inner(v, v)
     threshold = tol * euclidean_sq(v)
+    if not _TINY <= threshold <= _HUGE:
+        v = _rescaled(v)
+        threshold = tol * euclidean_sq(v)
+    q = inner(v, v)
     if abs(q) <= threshold:
         return CausalClass.NULL
     if q > 0.0:
@@ -163,13 +189,18 @@ def plane_class(
     Linearly dependent inputs land in the degenerate verdict since their
     Gram determinant vanishes. The verdict depends only on G, hence is
     invariant under invertible change of the spanning pair away from
-    tolerance boundaries.
+    tolerance boundaries. Where the threshold is zero, subnormal or
+    infinite, a and b are each rescaled by an exact power of two first,
+    as in causal_class.
     """
+    threshold = tol * euclidean_sq(a) * euclidean_sq(b)
+    if not _TINY <= threshold <= _HUGE:
+        a, b = _rescaled(a), _rescaled(b)
+        threshold = tol * euclidean_sq(a) * euclidean_sq(b)
     aa = inner(a, a)
     ab = inner(a, b)
     bb = inner(b, b)
     det = aa * bb - ab * ab
-    threshold = tol * euclidean_sq(a) * euclidean_sq(b)
     if det > threshold and aa < 0.0:
         return PlaneClass.SPACELIKE_PLANE
     if det < -threshold:

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import NodeError
 from .minkowski import FourVector, inner
 
@@ -161,6 +163,57 @@ class Superposition:
             p_mu=FourVector(r0.real, r1.real, r2.real, r3.real),
             s_mu=FourVector(r0.imag, r1.imag, r2.imag, r3.imag),
         )
+
+    def polar_gradients_batch(
+        self, x: np.ndarray, node_tol: float = DEFAULT_NODE_TOL
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """polar_gradients at every row of the events x (N, 4), without raising.
+
+        Returns (psi, p, s, node): psi complex (N,), p and s (N, 4), and
+        node, True where |psi| <= node_tol * sum_i |c_i|; p and s are NaN
+        on those rows. psi and the gradient are accumulated mode by mode
+        in evaluate's order, and divided as Python divides complex numbers,
+        so every value equals the scalar path's wherever numpy's sin and cos
+        equal math's.
+        """
+        if node_tol <= 0:
+            raise ValueError("node_tol must be positive")
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != 4:
+            raise ValueError(f"events must have shape (N, 4), got {x.shape}")
+        x0, x1, x2, x3 = x.T
+        psi_re = np.zeros(len(x))
+        psi_im = np.zeros(len(x))
+        g_re = np.zeros((4, len(x)))  # one row per gradient component
+        g_im = np.zeros((4, len(x)))
+        with np.errstate(all="ignore"):
+            for mode in self.modes:
+                k = mode.k
+                c = complex(mode.c)
+                phase = k.c0 * x0 + k.c1 * x1 + k.c2 * x2 + k.c3 * x3
+                cos, sin = np.cos(phase), np.sin(phase)
+                term_re = c.real * cos - c.imag * sin
+                term_im = c.real * sin + c.imag * cos
+                psi_re += term_re
+                psi_im += term_im
+                # d_mu of the term is i k_mu times it
+                k_col = np.array(k)[:, None]
+                g_re -= k_col * term_im
+                g_im += k_col * term_re
+            # Smith's division, as CPython's complex g / psi does it
+            swap = np.abs(psi_re) < np.abs(psi_im)
+            ratio = np.where(swap, psi_re / psi_im, psi_im / psi_re)
+            denom = np.where(swap, psi_re * ratio + psi_im, psi_re + psi_im * ratio)
+            u = np.where(swap, g_im, g_re)
+            v = np.where(swap, g_re, g_im)
+            p = (u + v * ratio) / denom
+            s = (v - u * ratio) / np.where(swap, -denom, denom)
+            node = np.hypot(psi_re, psi_im) <= node_tol * self.amp_sum
+        p[:, node] = np.nan
+        s[:, node] = np.nan
+        psi = np.empty(len(x), dtype=complex)
+        psi.real, psi.imag = psi_re, psi_im
+        return psi, p.T, s.T, node
 
     def to_dict(self) -> dict:
         return {

@@ -143,6 +143,15 @@ class TestPairSpaceEstimate:
         assert a.counts == b.counts
         assert b.sigma == 2.0
 
+    def test_both_spacelike_is_exactly_one_half(self):
+        # Minkowski orthogonal complement swaps spacelike and Lorentzian
+        # 2-planes and preserves every O(4)-invariant pair measure, so
+        # P(both_spacelike) = 1/2 exactly for the iid normal draw
+        n = 2**20
+        est = sample_pair_space(n=n, seed=1)
+        se = 0.5 / math.sqrt(n)
+        assert abs(est.fractions["both_spacelike"] - 0.5) <= 4.0 * se
+
     def test_to_dict_records_sigma(self):
         d = json.loads(json.dumps(sample_pair_space(n=100, seed=0, sigma=3.0).to_dict()))
         assert d["sigma"] == 3.0

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from kgbohm import (
     CausalClass,
@@ -95,11 +95,33 @@ def test_causal_class_tolerance_is_relative():
     assert causal_class(u, tol=1e-2) is CausalClass.NULL
 
 
+def _scales_exactly(vectors, s):
+    # a power of two rescales a float exactly unless the result is subnormal
+    return all(v * s * (1.0 / s) == v for v in vectors)
+
+
 @given(vectors, st.integers(min_value=-30, max_value=30))
+@example(FourVector(0.0, 0.0, 0.0, 1.302385449676331e-167), 17)
 def test_causal_class_invariant_under_exact_scaling(v, e):
-    # powers of two rescale floats exactly, so the verdict cannot move
+    # powers of two rescale floats exactly, so the verdict cannot move, even
+    # where the squares underflow
     s = math.ldexp(1.0, e)
+    assume(_scales_exactly([v], s))
     assert causal_class(v * s) is causal_class(v)
+
+
+@pytest.mark.parametrize(
+    "v, verdict",
+    [
+        (FourVector(0.0, 0.0, 0.0, 1e-170), CausalClass.SPACELIKE),
+        (FourVector(5e-324, 0.0, 0.0, 0.0), CausalClass.TIMELIKE),
+        (FourVector(1e200, 0.0, 0.0, 0.0), CausalClass.TIMELIKE),
+        (FourVector(1e200, 1e200, 0.0, 0.0), CausalClass.NULL),
+        (FourVector(-1e300, 1.0, 2e300, 0.0), CausalClass.SPACELIKE),
+    ],
+)
+def test_causal_class_survives_under_and_overflowing_squares(v, verdict):
+    assert causal_class(v) is verdict
 
 
 @given(vectors, vectors)
@@ -131,6 +153,19 @@ def test_plane_with_timelike_member_is_lorentzian():
 
 
 @given(vectors, vectors, st.integers(min_value=-20, max_value=20))
+@example(
+    FourVector(0.0, 0.0, 0.0, 1.426450086930468e-160), FourVector(0.0, 0.0, 1.0, 0.0), -4
+)
 def test_plane_class_invariant_under_exact_scaling(a, b, e):
     s = math.ldexp(1.0, e)
+    assume(_scales_exactly([a, b], s))
     assert plane_class(a * s, b * s) is plane_class(a, b)
+
+
+def test_plane_class_survives_underflowing_squares():
+    tiny = FourVector(0.0, 1e-170, 0.0, 0.0)
+    e2 = FourVector(0.0, 0.0, 1.0, 0.0)
+    assert plane_class(tiny, e2) is PlaneClass.SPACELIKE_PLANE
+    assert plane_class(FourVector(1e-170, 0.0, 0.0, 0.0), e2 * 1e-160) is (
+        PlaneClass.LORENTZIAN_PLANE
+    )
