@@ -14,127 +14,21 @@ classifies events by that verdict, integrates the trajectories where they
 exist, and estimates the measure of the region where they do not.
 """
 
-from .construction import (
-    DEFAULT_ORTHO_TOL,
-    DEFAULT_TOLERANCES,
-    PointAnalysis,
-    Selection,
-    Tolerances,
-    analyze_point,
-    classify_pair,
-    select,
-    theta,
-    w_fields,
-)
-from .errors import (
-    BothTimelikeError,
-    FieldOverflowError,
-    IllDefinedVelocityError,
-    KgBohmError,
-    NodeError,
-    OrthogonalDegenerateError,
-)
-from .measure import (
-    TALLY_KEYS,
-    FractionEstimate,
-    Region,
-    ScanCell,
-    ScanResult,
-    estimate_spacetime_fraction,
-    grid_scan,
-    sample_pair_space,
-    wilson_interval,
-    write_scan_csv,
-)
-from .minkowski import (
-    DEFAULT_CLASS_TOL,
-    CausalClass,
-    FourVector,
-    PlaneClass,
-    causal_class,
-    euclidean_norm,
-    euclidean_sq,
-    inner,
-    plane_class,
-    raise_index,
-)
-from .trajectory import (
-    Termination,
-    TrajectoryConfig,
-    TrajectoryPoint,
-    TrajectoryResult,
-    integrate,
-    velocity,
-    write_trajectory_csv,
-)
-from .wavefield import (
-    DEFAULT_NODE_TOL,
-    ON_SHELL_RTOL,
-    PlaneWaveMode,
-    PolarGradients,
-    Superposition,
-    counterexample,
-    load_superposition,
-)
+from . import construction, errors, measure, minkowski, trajectory, wavefield
+from .construction import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .measure import *  # noqa: F403
+from .minkowski import *  # noqa: F403
+from .trajectory import *  # noqa: F403
+from .wavefield import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # minkowski
-    "DEFAULT_CLASS_TOL",
-    "CausalClass",
-    "PlaneClass",
-    "FourVector",
-    "inner",
-    "raise_index",
-    "euclidean_sq",
-    "euclidean_norm",
-    "causal_class",
-    "plane_class",
-    # wavefield
-    "ON_SHELL_RTOL",
-    "DEFAULT_NODE_TOL",
-    "PlaneWaveMode",
-    "PolarGradients",
-    "Superposition",
-    "counterexample",
-    "load_superposition",
-    # construction
-    "DEFAULT_ORTHO_TOL",
-    "DEFAULT_TOLERANCES",
-    "Tolerances",
-    "Selection",
-    "PointAnalysis",
-    "theta",
-    "w_fields",
-    "select",
-    "classify_pair",
-    "analyze_point",
-    # trajectory
-    "Termination",
-    "TrajectoryConfig",
-    "TrajectoryPoint",
-    "TrajectoryResult",
-    "velocity",
-    "integrate",
-    "write_trajectory_csv",
-    # measure
-    "TALLY_KEYS",
-    "Region",
-    "FractionEstimate",
-    "ScanCell",
-    "ScanResult",
-    "wilson_interval",
-    "estimate_spacetime_fraction",
-    "sample_pair_space",
-    "grid_scan",
-    "write_scan_csv",
-    # errors
-    "KgBohmError",
-    "NodeError",
-    "OrthogonalDegenerateError",
-    "BothTimelikeError",
-    "FieldOverflowError",
-    "IllDefinedVelocityError",
+# Each module's __all__ is its public API; the package exports their union.
+# cli stays out: it imports __version__ from here, and `python -m kgbohm.cli`
+# warns when the package has already imported it.
+__all__ = ["__version__"] + [
+    name
+    for module in (minkowski, wavefield, construction, trajectory, measure, errors)
+    for name in module.__all__
 ]

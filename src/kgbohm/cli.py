@@ -25,6 +25,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import __version__
@@ -55,38 +56,43 @@ BUILTINS = {"counterexample": counterexample}
 
 
 class _CliError(Exception):
-    """User-facing failure; message goes to stderr, code becomes the exit status."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """Bad input that no single flag's type can catch; exit status 2."""
 
 
-def _check_positive(value: float, flag: str) -> float:
-    if not (math.isfinite(value) and value > 0):
-        raise _CliError(f"{flag} must be a positive finite number, got {value!r}")
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, like "nan" itself
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
 
 
-def _at_least(value: int, low: int, flag: str) -> int:
-    if value < low:
-        raise _CliError(f"{flag} must be at least {low}, got {value}")
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
-def _vector(values: list[float], flag: str) -> FourVector:
-    v = FourVector(*values)
-    if not v.is_finite():
-        raise _CliError(f"{flag} components must be finite, got {values!r}")
-    return v
+def _at_least(low: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # refused below
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return integer
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(
-        causal=_check_positive(args.class_tol, "--class-tol"),
-        ortho=_check_positive(args.ortho_tol, "--ortho-tol"),
-        node=_check_positive(args.node_tol, "--node-tol"),
-    )
+    return Tolerances(args.class_tol, args.ortho_tol, args.node_tol)
 
 
 def _load_config(args: argparse.Namespace) -> Superposition:
@@ -100,26 +106,20 @@ def _load_config(args: argparse.Namespace) -> Superposition:
         raise _CliError(f"--config: {exc}") from None
 
 
-def _config_ref(args: argparse.Namespace) -> dict:
+def _manifest(args: argparse.Namespace, tols: Tolerances, parameters: dict) -> dict:
     if getattr(args, "builtin", None) is not None:
-        return {"builtin": args.builtin}
-    return {"path": str(args.config)}
-
-
-def _manifest(
-    command: str,
-    config: dict | None,
-    tols: Tolerances,
-    parameters: dict,
-    outputs: list[str],
-) -> dict:
+        config = {"builtin": args.builtin}
+    elif getattr(args, "config", None) is not None:
+        config = {"path": str(args.config)}
+    else:
+        config = None
     return {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "config": config,
         "tolerances": {"causal": tols.causal, "ortho": tols.ortho, "node": tols.node},
         "parameters": parameters,
-        "outputs": outputs,
+        "outputs": [str(args.out)],
     }
 
 
@@ -129,8 +129,22 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_sidecar_manifest(out: Path, manifest: dict) -> None:
-    _write_json(Path(str(out) + ".manifest.json"), manifest)
+def _write_sidecar_manifest(
+    args: argparse.Namespace, tols: Tolerances, parameters: dict
+) -> None:
+    _write_json(Path(f"{args.out}.manifest.json"), _manifest(args, tols, parameters))
+
+
+def _write_estimate(
+    args: argparse.Namespace, tols: Tolerances, est, parameters: dict
+) -> None:
+    payload = est.to_dict()
+    payload["manifest"] = _manifest(args, tols, parameters)
+    _write_json(args.out, payload)
+    print(f"wrote {args.out}: n={args.n} seed={args.seed}")
+    for key in TALLY_KEYS:
+        lo, hi = est.wilson_95[key]
+        print(f"  {key}: {est.fractions[key]:.6f}  95% [{lo:.6f}, {hi:.6f}]")
 
 
 def _fmt_vec(v: FourVector) -> str:
@@ -138,16 +152,14 @@ def _fmt_vec(v: FourVector) -> str:
 
 
 def _region(args: argparse.Namespace) -> Region:
-    lo = _vector(args.lo, "--lo")
-    hi = _vector(args.hi, "--hi")
     try:
-        return Region(lo, hi)
+        return Region(FourVector(*args.lo), FourVector(*args.hi))
     except ValueError as exc:
         raise _CliError(f"--lo/--hi: {exc}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    m = _check_positive(args.mass, "--mass")
+    m = args.mass
     tols = _tolerances(args)
     w = counterexample(m)
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
@@ -198,8 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    x = _vector(args.x, "--x")
-    a = analyze_point(w, x, tols)
+    a = analyze_point(w, FourVector(*args.x), tols)
     if a.selection is Selection.NODE:
         print(
             f"node: |psi| = {abs(a.psi):.6e} is at or below --node-tol times "
@@ -215,19 +226,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
     region = _region(args)
-    res = tuple(args.resolution)
-    if any(r < 1 for r in res):
-        raise _CliError(f"--resolution entries must be >= 1, got {args.resolution!r}")
-    scan = grid_scan(w, region, res, tols)
+    scan = grid_scan(w, region, tuple(args.resolution), tols)
     write_scan_csv(scan, args.out)
-    manifest = _manifest(
-        "scan",
-        _config_ref(args),
-        tols,
-        {"region": region.to_dict(), "resolution": list(res)},
-        [str(args.out)],
+    _write_sidecar_manifest(
+        args, tols, {"region": region.to_dict(), "resolution": args.resolution}
     )
-    _write_sidecar_manifest(args.out, manifest)
     counts = scan.counts()
     print(f"wrote {args.out}: {len(scan.cells)} rows")
     for key in TALLY_KEYS:
@@ -238,25 +241,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_trajectory(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    x0 = _vector(args.x0, "--x0")
-    step = _check_positive(args.step, "--step")
-    cfg = TrajectoryConfig(
-        step=step, max_steps=_at_least(args.max_steps, 1, "--max-steps"), tols=tols
-    )
+    cfg = TrajectoryConfig(step=args.step, max_steps=args.max_steps, tols=tols)
     try:
-        result = integrate(w, x0, cfg)
+        result = integrate(w, FourVector(*args.x0), cfg)
     except IllDefinedVelocityError as exc:
         print(f"ill-defined at start: {exc}", file=sys.stderr)
         return 1
     write_trajectory_csv(result, args.out)
-    manifest = _manifest(
-        "trajectory",
-        _config_ref(args),
-        tols,
-        {"x0": list(x0), "step": step, "max_steps": args.max_steps},
-        [str(args.out)],
+    _write_sidecar_manifest(
+        args, tols, {"x0": args.x0, "step": args.step, "max_steps": args.max_steps}
     )
-    _write_sidecar_manifest(args.out, manifest)
     print(
         f"wrote {args.out}: {len(result.points)} points, "
         f"termination {result.termination.value}"
@@ -264,56 +258,30 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_estimate(label: str, est) -> None:
-    print(label)
-    for key in TALLY_KEYS:
-        lo, hi = est.wilson_95[key]
-        print(f"  {key}: {est.fractions[key]:.6f}  95% [{lo:.6f}, {hi:.6f}]")
-
-
 def cmd_measure(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
     region = _region(args)
-    _at_least(args.n, 1, "--n")
-    _at_least(args.seed, 0, "--seed")
     est = estimate_spacetime_fraction(w, region, args.n, args.seed, tols)
-    payload = est.to_dict()
-    payload["manifest"] = _manifest(
-        "measure",
-        _config_ref(args),
-        tols,
-        {"region": region.to_dict(), "n": args.n, "seed": args.seed},
-        [str(args.out)],
+    _write_estimate(
+        args, tols, est, {"region": region.to_dict(), "n": args.n, "seed": args.seed}
     )
-    _write_json(args.out, payload)
-    _print_estimate(f"wrote {args.out}: n={args.n} seed={args.seed}", est)
     return 0
 
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
-    _at_least(args.n, 1, "--n")
-    _at_least(args.seed, 0, "--seed")
-    sigma = _check_positive(args.sigma, "--sigma")
-    est = sample_pair_space(args.n, args.seed, sigma, tols)
-    payload = est.to_dict()
-    payload["manifest"] = _manifest(
-        "sample-pairs",
-        None,
-        tols,
-        {"n": args.n, "seed": args.seed, "sigma": sigma},
-        [str(args.out)],
+    est = sample_pair_space(args.n, args.seed, args.sigma, tols)
+    _write_estimate(
+        args, tols, est, {"n": args.n, "seed": args.seed, "sigma": args.sigma}
     )
-    _write_json(args.out, payload)
-    _print_estimate(f"wrote {args.out}: n={args.n} seed={args.seed}", est)
     return 0
 
 
 def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--class-tol",
-        type=float,
+        type=_positive,
         default=DEFAULT_TOLERANCES.causal,
         metavar="TOL",
         help="relative threshold for timelike/spacelike/null calls "
@@ -321,7 +289,7 @@ def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--ortho-tol",
-        type=float,
+        type=_positive,
         default=DEFAULT_TOLERANCES.ortho,
         metavar="TOL",
         help="relative threshold below which p.s counts as zero "
@@ -329,7 +297,7 @@ def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--node-tol",
-        type=float,
+        type=_positive,
         default=DEFAULT_TOLERANCES.node,
         metavar="TOL",
         help="|psi| below TOL * sum|c_i| counts as a node (default %(default)g)",
@@ -343,6 +311,24 @@ def _add_config_arguments(p: argparse.ArgumentParser) -> None:
         "--builtin",
         choices=sorted(BUILTINS),
         help="named built-in wave function",
+    )
+
+
+_EVENT = ("X0", "X1", "X2", "X3")
+
+
+def _add_region_arguments(p: argparse.ArgumentParser) -> None:
+    for flag, corner in (("--lo", "lower"), ("--hi", "upper")):
+        p.add_argument(
+            flag, type=_finite, nargs=4, required=True, metavar=_EVENT,
+            help=f"{corner} box corner",
+        )
+
+
+def _add_sampling_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_at_least(1), required=True, help="sample count")
+    p.add_argument(
+        "--seed", type=_at_least(0), default=0, help="RNG seed (default 0)"
     )
 
 
@@ -375,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the built-in three-wave example against its closed form",
     )
     p.add_argument(
-        "--mass", type=float, default=1.0, help="particle mass (default 1)"
+        "--mass", type=_positive, default=1.0, help="particle mass (default 1)"
     )
     _add_tolerance_arguments(p)
     p.set_defaults(func=cmd_verify)
@@ -383,11 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="analyze one event, print JSON")
     _add_config_arguments(p)
     p.add_argument(
-        "--x",
-        type=float,
-        nargs=4,
-        required=True,
-        metavar=("X0", "X1", "X2", "X3"),
+        "--x", type=_finite, nargs=4, required=True, metavar=_EVENT,
         help="event coordinates",
     )
     _add_tolerance_arguments(p)
@@ -395,16 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="classify a regular grid, write CSV")
     _add_config_arguments(p)
+    _add_region_arguments(p)
     p.add_argument(
-        "--lo", type=float, nargs=4, required=True, metavar=("X0", "X1", "X2", "X3"),
-        help="lower box corner",
-    )
-    p.add_argument(
-        "--hi", type=float, nargs=4, required=True, metavar=("X0", "X1", "X2", "X3"),
-        help="upper box corner",
-    )
-    p.add_argument(
-        "--resolution", type=int, nargs=4, required=True,
+        "--resolution", type=_at_least(1), nargs=4, required=True,
         metavar=("N0", "N1", "N2", "N3"), help="lattice points per axis",
     )
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
@@ -414,12 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trajectory", help="integrate one curve, write CSV")
     _add_config_arguments(p)
     p.add_argument(
-        "--x0", type=float, nargs=4, required=True,
-        metavar=("X0", "X1", "X2", "X3"), help="starting event",
+        "--x0", type=_finite, nargs=4, required=True, metavar=_EVENT,
+        help="starting event",
     )
-    p.add_argument("--step", type=float, required=True, help="proper-time step")
+    p.add_argument("--step", type=_positive, required=True, help="proper-time step")
     p.add_argument(
-        "--max-steps", type=int, required=True, help="step budget"
+        "--max-steps", type=_at_least(1), required=True, help="step budget"
     )
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     _add_tolerance_arguments(p)
@@ -429,16 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
         "measure", help="sample verdict fractions over a box, write JSON"
     )
     _add_config_arguments(p)
-    p.add_argument(
-        "--lo", type=float, nargs=4, required=True, metavar=("X0", "X1", "X2", "X3"),
-        help="lower box corner",
-    )
-    p.add_argument(
-        "--hi", type=float, nargs=4, required=True, metavar=("X0", "X1", "X2", "X3"),
-        help="upper box corner",
-    )
-    p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _add_region_arguments(p)
+    _add_sampling_arguments(p)
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
     _add_tolerance_arguments(p)
     p.set_defaults(func=cmd_measure)
@@ -447,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
         "sample-pairs",
         help="sample verdict fractions over raw gradient pairs, write JSON",
     )
-    p.add_argument("--n", type=int, required=True, help="sample count")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    _add_sampling_arguments(p)
     p.add_argument(
-        "--sigma", type=float, default=1.0,
+        "--sigma", type=_positive, default=1.0,
         help="component scale of the normal draw (default 1)",
     )
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
@@ -466,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except KgBohmError as exc:
         # e.g. both candidates timelike: the quantity could not be computed
         print(f"error: {exc}", file=sys.stderr)

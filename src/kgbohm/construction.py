@@ -29,9 +29,11 @@ exp(+-theta) p + s, causal_class's null band and select's table. It does
 not use the closed-form Gram criterion, which would need a null band of
 its own; this way each tolerance band has one definition on both paths,
 and the Gram criterion stays an independent cross-check. Rows it cannot
-decide the way the scalar path would (exp(+-theta) not finite, both
+decide the way the scalar path would (nonzero p and s whose p.s ~ 0
+threshold is zero, subnormal or infinite, exp(+-theta) not finite, both
 candidates timelike, a candidate's tolerance scale zero, subnormal or
-infinite) come back undecided, for the scalar path to decide or raise on.
+infinite) come back undecided, for the scalar path to rescale, decide or
+raise on.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ from .minkowski import (
     euclidean_sq,
     inner,
     plane_class,
+    _HUGE,
+    _TINY,
+    _rescaled,
 )
 from .wavefield import Superposition
 
@@ -160,14 +165,20 @@ def theta(p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL) ->
 
     Raises OrthogonalDegenerateError when |p.s| <= ortho_tol * |p| * |s|
     (Euclidean norms); in particular the zero covector is always
-    degenerate.
+    degenerate. Where that threshold is zero, subnormal or infinite (the
+    squares under- or overflowed), everything is computed again on p and s
+    rescaled together by one exact power of two, which moves neither theta
+    nor the test (the error then reports the rescaled p.s and threshold).
     """
     if ortho_tol <= 0:
         raise ValueError("ortho_tol must be positive")
+    threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+    if not _TINY <= threshold <= _HUGE:
+        p, s = _rescaled(p, s)
+        threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
     q = inner(p, s)
-    scale = math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s))
-    if abs(q) <= ortho_tol * scale:
-        raise OrthogonalDegenerateError(q, ortho_tol * scale)
+    if abs(q) <= threshold:
+        raise OrthogonalDegenerateError(q, threshold)
     return math.asinh((inner(p, p) - inner(s, s)) / (2.0 * q))
 
 
@@ -232,8 +243,6 @@ def classify_pair(
 
 
 _CODE = {sel: i for i, sel in enumerate(Selection)}  # classify_batch's verdict codes
-_TINY = np.finfo(float).tiny
-_HUGE = np.finfo(float).max
 
 
 def classify_batch(
@@ -244,9 +253,10 @@ def classify_batch(
     Returns (codes, theta, w_plus_sq, w_minus_sq): codes index
     tuple(Selection), and -1 marks a row left undecided (see the module
     docstring) for classify_pair or analyze_point. theta and the candidate
-    norms w.w are NaN where p.s ~ 0. Each quantity is computed with the
-    scalar path's operations in its order; only numpy's arcsinh and exp may
-    differ from math's in the last bit.
+    norms w.w are NaN where p.s ~ 0 and on the rows left undecided for
+    theta's rescale. Each quantity is computed with the scalar path's
+    operations in its order; only numpy's arcsinh and exp may differ from
+    math's in the last bit.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -255,8 +265,12 @@ def classify_batch(
     p, s = p.T, s.T  # one row per component, as inner and euclidean_sq read them
     with np.errstate(all="ignore"):
         q = inner(p, s)
-        scale = np.sqrt(euclidean_sq(p)) * np.sqrt(euclidean_sq(s))
-        degenerate = np.abs(q) <= tols.ortho * scale
+        thr_o = tols.ortho * (np.sqrt(euclidean_sq(p)) * np.sqrt(euclidean_sq(s)))
+        # theta rescales nonzero p and s whose threshold under- or overflowed
+        rescale = ~((thr_o >= _TINY) & (thr_o <= _HUGE))
+        if rescale.any():  # rare; the zero tests are slow on (4, N) views
+            rescale &= p.any(axis=0) & s.any(axis=0)
+        degenerate = (np.abs(q) <= thr_o) & ~rescale
         th = np.arcsinh((inner(p, p) - inner(s, s)) / (2.0 * q))
         ep = np.exp(th)
         em = np.exp(-th)
@@ -268,7 +282,8 @@ def classify_batch(
         plus = wp_sq > thr_p
         minus = wm_sq > thr_m
         undecided = (
-            ~(np.isfinite(ep) & np.isfinite(em))
+            rescale
+            | ~(np.isfinite(ep) & np.isfinite(em))
             | ~((thr_p >= _TINY) & (thr_p <= _HUGE))
             | ~((thr_m >= _TINY) & (thr_m <= _HUGE))
             | (plus & minus)
@@ -285,7 +300,8 @@ def classify_batch(
         ],
         default=_CODE[Selection.BOTH_SPACELIKE],
     )
-    th[degenerate] = wp_sq[degenerate] = wm_sq[degenerate] = np.nan
+    nan = degenerate | rescale
+    th[nan] = wp_sq[nan] = wm_sq[nan] = np.nan
     return codes, th, wp_sq, wm_sq
 
 

@@ -7,6 +7,15 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from .construction import Selection
 
+__all__ = [
+    "KgBohmError",
+    "NodeError",
+    "OrthogonalDegenerateError",
+    "BothTimelikeError",
+    "FieldOverflowError",
+    "IllDefinedVelocityError",
+]
+
 
 class KgBohmError(Exception):
     """Base class for all package-specific errors."""

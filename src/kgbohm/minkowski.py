@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "DEFAULT_CLASS_TOL",
@@ -74,16 +74,6 @@ class FourVector(NamedTuple):
             self.c3 + other.c3,
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, FourVector):
-            return NotImplemented
-        return FourVector(
-            self.c0 - other.c0,
-            self.c1 - other.c1,
-            self.c2 - other.c2,
-            self.c3 - other.c3,
-        )
-
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
             return NotImplemented
@@ -94,13 +84,6 @@ class FourVector(NamedTuple):
 
     def __neg__(self):
         return FourVector(-self.c0, -self.c1, -self.c2, -self.c3)
-
-    @classmethod
-    def from_iterable(cls, values: Iterable[float]) -> "FourVector":
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError(f"expected 4 components, got {len(vals)}")
-        return cls(*vals)
 
     def is_finite(self) -> bool:
         return (
@@ -142,14 +125,15 @@ def euclidean_norm(v: FourVector) -> float:
     return math.sqrt(euclidean_sq(v))
 
 
-def _rescaled(v: FourVector) -> FourVector:
-    """v times the power of two that brings its largest |component| into
-    [0.5, 1); the zero vector and non-finite vectors come back unchanged."""
-    m = max(abs(v.c0), abs(v.c1), abs(v.c2), abs(v.c3))
+def _rescaled(*vs: FourVector) -> tuple[FourVector, ...]:
+    """The vectors times the one power of two that brings their largest
+    |component| into [0.5, 1); all zero or non-finite, they come back
+    unchanged."""
+    m = max(abs(c) for v in vs for c in v)
     if m == 0.0 or not math.isfinite(m):
-        return v
+        return vs
     e = -math.frexp(m)[1]
-    return FourVector(*(math.ldexp(c, e) for c in v))
+    return tuple(FourVector(*(math.ldexp(c, e) for c in v)) for v in vs)
 
 
 def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
@@ -163,7 +147,7 @@ def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
     """
     threshold = tol * euclidean_sq(v)
     if not _TINY <= threshold <= _HUGE:
-        v = _rescaled(v)
+        (v,) = _rescaled(v)
         threshold = tol * euclidean_sq(v)
     q = inner(v, v)
     if abs(q) <= threshold:
@@ -195,7 +179,7 @@ def plane_class(
     """
     threshold = tol * euclidean_sq(a) * euclidean_sq(b)
     if not _TINY <= threshold <= _HUGE:
-        a, b = _rescaled(a), _rescaled(b)
+        (a,), (b,) = _rescaled(a), _rescaled(b)
         threshold = tol * euclidean_sq(a) * euclidean_sq(b)
     aa = inner(a, a)
     ab = inner(a, b)

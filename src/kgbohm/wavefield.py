@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NodeError
-from .minkowski import FourVector, inner
+from .minkowski import FourVector, _rescaled, inner
 
 __all__ = [
     "ON_SHELL_RTOL",
@@ -76,11 +76,17 @@ def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
             f"mode {index}: k0 = {mode.k.c0!r} violates the positive-energy "
             f"requirement k0 > 0"
         )
-    residual = inner(mode.k, mode.k) - mass * mass
-    if abs(residual) > ON_SHELL_RTOL * mass * mass:
+    # Compared on k and m scaled together by one exact power of two, which
+    # moves neither side against the other, so squares that under- or
+    # overflow cannot pass an off-shell mode.
+    k, mv = _rescaled(mode.k, FourVector(mass, 0.0, 0.0, 0.0))
+    m = mv.c0
+    residual = inner(k, k) - m * m
+    if not abs(residual) <= ON_SHELL_RTOL * m * m:
+        rel = abs(residual) / (m * m) if m * m else math.inf
         raise ValueError(
-            f"mode {index}: off the mass shell: |k.k - m^2| = {abs(residual):.3e} "
-            f"exceeds {ON_SHELL_RTOL:.1e} * m^2 = {ON_SHELL_RTOL * mass * mass:.3e}"
+            f"mode {index}: off the mass shell: |k.k - m^2| / m^2 = {rel:.3e} "
+            f"exceeds {ON_SHELL_RTOL:.1e}"
         )
 
 
@@ -259,7 +265,7 @@ class Superposition:
                 raise ValueError(f"mode {i}: 'c' must be [re, im]")
             modes.append(
                 PlaneWaveMode(
-                    k=FourVector.from_iterable(k_list),
+                    k=FourVector(*map(float, k_list)),
                     c=complex(c_list[0], c_list[1]),
                 )
             )

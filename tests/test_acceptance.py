@@ -337,8 +337,7 @@ def test_criterion_09_trajectory_contract(capsys, two_mode):
     ref = final_x(2048)
 
     def err(steps):
-        d = final_x(steps) - ref
-        return math.sqrt(sum(c * c for c in d))
+        return math.dist(final_x(steps), ref)
 
     e1, e2, e3 = err(8), err(16), err(32)
     orders = [math.log2(e1 / e2), math.log2(e2 / e3)]

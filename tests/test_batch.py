@@ -31,6 +31,7 @@ from kgbohm import (
     euclidean_sq,
     grid_scan,
     inner,
+    sample_pair_space,
     theta,
     w_fields,
 )
@@ -181,7 +182,7 @@ vectors = st.builds(FourVector, *([components] * 4))
 def scalar_outcome(p, s):
     try:
         return classify_pair(p, s, TOLS)
-    except (BothTimelikeError, FieldOverflowError, ValueError) as exc:
+    except (BothTimelikeError, FieldOverflowError) as exc:
         return type(exc)
 
 
@@ -222,6 +223,56 @@ def test_undecided_rows_are_left_to_the_scalar_path():
             n=3000,
             seed=5,
         )
+
+
+PLUS_P = FourVector(0.3, 1.2, -0.7, 0.4)
+PLUS_S = FourVector(1.1, -0.2, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("e", [-600, 520])
+def test_theta_rescales_pairs_whose_squares_under_or_overflow(e):
+    f = math.ldexp(1.0, e)
+    p, s = PLUS_P * f, PLUS_S * f
+    assert classify_pair(PLUS_P, PLUS_S) is Selection.PLUS_TIMELIKE
+    assert theta(p, s) == theta(PLUS_P, PLUS_S)
+    assert classify_pair(p, s) is Selection.PLUS_TIMELIKE
+    codes, th, wp_sq, wm_sq = classify_batch(np.array([p]), np.array([s]))
+    assert codes[0] == -1  # theta's rescale belongs to the scalar path
+    assert np.isnan([th[0], wp_sq[0], wm_sq[0]]).all()
+    # a zero covector stays degenerate; where |p||s| is 0 * inf, the kernel
+    # leaves the row to the scalar path
+    zero = FourVector(0.0, 0.0, 0.0, 0.0)
+    for pair in ((zero, s), (p, zero)):
+        assert classify_pair(*pair) is Selection.ORTHOGONAL_DEGENERATE
+        code = classify_batch(np.array([pair[0]]), np.array([pair[1]]))[0][0]
+        assert code == -1 or SELECTIONS[code] is Selection.ORTHOGONAL_DEGENERATE
+
+
+@pytest.mark.parametrize("sigma", [2.0**-600, 2.0**520])
+def test_sample_pair_space_is_scale_free(sigma):
+    assert sample_pair_space(30000, 1, sigma=sigma).counts == (
+        sample_pair_space(30000, 1).counts
+    )
+
+
+@pytest.mark.parametrize("e", [-600, -500, 520])
+def test_grid_scan_is_scale_free(e, degenerate_field):
+    # k -> k * 2^e and x -> x * 2^-e keep every phase, so every verdict.
+    # At 2^-500 the squares stay normal but the p.s ~ 0 threshold underflows:
+    # the scalar path decides those rows, and its degenerate cells keep NaN.
+    f = math.ldexp(1.0, e)
+    box = Region(BOX.lo * (1 / f), BOX.hi * (1 / f))
+    want = grid_scan(counterexample(), BOX, (4, 4, 4, 4)).cells
+    got = grid_scan(counterexample(f), box, (4, 4, 4, 4)).cells
+    assert [c.selection for c in got] == [c.selection for c in want]
+    for a, b in zip(got, want):
+        assert close(a.theta, b.theta, abs(b.theta))
+    scaled = Superposition(
+        mass=f, modes=tuple(PlaneWaveMode(m.k * f, m.c) for m in degenerate_field.modes)
+    )
+    cells = grid_scan(scaled, box, (3, 3, 3, 3)).cells
+    assert {c.selection for c in cells} == {"orthogonal_degenerate"}
+    assert all(math.isnan(c.theta) and math.isnan(c.w_plus_sq) for c in cells)
 
 
 def test_grid_scan_matches_analyze_point(cx):

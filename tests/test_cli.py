@@ -1,14 +1,24 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import kgbohm.cli as cli
 from kgbohm import PlaneWaveMode, Superposition, counterexample
-from kgbohm.cli import main
+from kgbohm.cli import build_parser, main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """main's exit status with its stdout and stderr; argparse refuses a
+    flag value by raising SystemExit, whose code is the status."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -47,6 +57,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 1
         assert "verify: FAIL" in out
+
+    def test_mass_whose_squares_underflow(self, capsys):
+        code, out, _ = run(capsys, "verify", "--mass", "2.409919865102884e-181")
+        assert code == 0
+        assert "verify: PASS" in out
 
     def test_rejects_nonpositive_mass(self, capsys):
         code, _, err = run(capsys, "verify", "--mass", "-1")
@@ -139,6 +154,17 @@ class TestClassify:
     def test_malformed_config_names_the_mode(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"mass": 1.0, "modes": [{"k": [1.0, 0.0], "c": [1.0, 0.0]}]}))
+        code, _, err = run(
+            capsys, "classify", "--config", str(bad), "--x", "0", "0", "0", "0"
+        )
+        assert code == 2
+        assert "--config" in err and "mode 0" in err
+
+    def test_off_shell_config_at_large_scale_refused(self, capsys, tmp_path):
+        bad = tmp_path / "big.json"
+        bad.write_text(json.dumps(
+            {"mass": 1, "modes": [{"k": [2e200, 1e200, 0, 0], "c": [1, 0]}]}
+        ))
         code, _, err = run(
             capsys, "classify", "--config", str(bad), "--x", "0", "0", "0", "0"
         )
@@ -417,6 +443,44 @@ class TestSamplePairs:
 
 
 class TestParser:
+    def test_flag_sets_are_pinned(self):
+        common = {"-h", "--help", "--class-tol", "--ortho-tol", "--node-tol"}
+        config = {"--config", "--builtin"}
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {
+            name: {o for a in p._actions for o in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert flags == {
+            name: common | extra
+            for name, extra in {
+                "verify": {"--mass"},
+                "classify": config | {"--x"},
+                "scan": config | {"--lo", "--hi", "--resolution", "--out"},
+                "trajectory": config | {"--x0", "--step", "--max-steps", "--out"},
+                "measure": config | {"--lo", "--hi", "--n", "--seed", "--out"},
+                "sample-pairs": {"--n", "--seed", "--sigma", "--out"},
+            }.items()
+        }
+
+    def test_refusal_in_a_fresh_process(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgbohm.cli", "measure",
+             "--builtin", "counterexample",
+             "--lo", "0", "0", "0", "0", "--hi", "1", "1", "1", "1",
+             "--n", "0", "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "argument --n:" in proc.stderr
+        assert proc.stdout == ""
+        assert not (tmp_path / "m.json").exists()
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(["--version"])

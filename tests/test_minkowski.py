@@ -36,20 +36,13 @@ def test_vector_arithmetic_is_componentwise():
     a = FourVector(1.0, 2.0, 3.0, 4.0)
     b = FourVector(10.0, 20.0, 30.0, 40.0)
     assert a + b == FourVector(11.0, 22.0, 33.0, 44.0)
-    assert b - a == FourVector(9.0, 18.0, 27.0, 36.0)
     assert a * 2.0 == FourVector(2.0, 4.0, 6.0, 8.0)
     assert 2.0 * a == a * 2.0
+    # without __rmul__, an int factor would fall back to tuple repetition
+    assert 2 * a == a * 2.0
     assert -a == FourVector(-1.0, -2.0, -3.0, -4.0)
     # still a 4-tuple for iteration/indexing
     assert len(a) == 4 and a[1] == 2.0 and list(a) == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_from_iterable_checks_length():
-    assert FourVector.from_iterable([1, 2, 3, 4]) == FourVector(1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(ValueError):
-        FourVector.from_iterable([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        FourVector.from_iterable(range(5))
 
 
 def test_is_finite():

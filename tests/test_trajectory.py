@@ -152,8 +152,7 @@ class TestIntegrate:
         ref = final_x(2048)
 
         def err(n):
-            d = final_x(n) - ref
-            return math.sqrt(sum(c * c for c in d))
+            return math.dist(final_x(n), ref)
 
         e8, e16, e32 = err(8), err(16), err(32)
         assert e8 == pytest.approx(5.392045230320595e-10, rel=1e-3)

@@ -56,6 +56,18 @@ class TestValidation:
                 modes=(PlaneWaveMode(k=FourVector(1.0, 0.0, 0.0, 0.0), c=0j),),
             )
 
+    def test_off_shell_mode_rejected_when_squares_under_or_overflow(self):
+        for m in (1e200, 1e-200):
+            with pytest.raises(ValueError, match="mode 0"):
+                Superposition(
+                    mass=m,
+                    modes=(PlaneWaveMode(k=FourVector(m, m / 2, 0.0, 0.0), c=1j),),
+                )
+        with pytest.raises(ValueError, match="mode 0"):
+            Superposition.from_dict(
+                {"mass": 1, "modes": [{"k": [2e200, 1e200, 0, 0], "c": [1, 0]}]}
+            )
+
     def test_on_shell_tolerance_is_relative(self):
         # sqrt introduces one rounding; must still validate at any mass scale
         for m in (1e-6, 1.0, 1e6):
@@ -229,6 +241,10 @@ class TestCounterexampleBuilder:
             assert m2.c == m1.c
             for a, b in zip(m2.k, m1.k):
                 assert a == pytest.approx(2.0 * b, rel=1e-15)
+
+    def test_builds_where_the_squares_of_k_under_or_overflow(self):
+        for e in (-600, 520):
+            assert counterexample(math.ldexp(1.0, e)).mass == math.ldexp(1.0, e)
 
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):
