@@ -15,7 +15,8 @@ Exit status: 0 means the computation succeeded, including "the construction
 is ill-defined here" answers; 1 means it could not be computed (node at the
 requested event, ill-defined trajectory start, verification mismatch, both
 candidates classified timelike);
-2 means bad input (usage, config validation, out-of-range flag).
+2 means bad input (usage, config validation or reading, out-of-range flag,
+an --out whose directory does not exist).
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ def _load_config(args: argparse.Namespace) -> Superposition:
         return load_superposition(args.config)
     except FileNotFoundError:
         raise _CliError(f"--config: no such file: {args.config}") from None
+    except OSError as exc:
+        raise _CliError(f"--config: cannot read {args.config}: {exc.strerror}") from None
     except ValueError as exc:
         raise _CliError(f"--config: {exc}") from None
 
@@ -429,6 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out is not None and not out.parent.is_dir():  # refused before any work
+            raise _CliError(f"--out: no such directory: {out.parent}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -28,12 +28,9 @@ the scalar path's quantities: the p.s ~ 0 test of theta, the candidates
 exp(+-theta) p + s, causal_class's null band and select's table. It does
 not use the closed-form Gram criterion, which would need a null band of
 its own; this way each tolerance band has one definition on both paths,
-and the Gram criterion stays an independent cross-check. Rows it cannot
-decide the way the scalar path would (nonzero p and s whose p.s ~ 0
-threshold is zero, subnormal or infinite, exp(+-theta) not finite, both
-candidates timelike, a candidate's tolerance scale zero, subnormal or
-infinite) come back undecided, for the scalar path to rescale, decide or
-raise on.
+and the Gram criterion stays an independent cross-check. It rescales what
+the scalar path rescales and raises where it raises, so every row is
+decided in numpy.
 """
 
 from __future__ import annotations
@@ -215,10 +212,7 @@ def select(class_plus: CausalClass, class_minus: CausalClass) -> Selection:
     plus_t = class_plus is CausalClass.TIMELIKE
     minus_t = class_minus is CausalClass.TIMELIKE
     if plus_t and minus_t:
-        raise BothTimelikeError(
-            "both candidate covectors classified timelike; orthogonal vectors "
-            "cannot both be timelike, check tolerances"
-        )
+        raise BothTimelikeError()
     if plus_t:
         return Selection.PLUS_TIMELIKE
     if minus_t:
@@ -251,12 +245,12 @@ def classify_batch(
     """classify_pair on every row of the gradient pairs p, s (N, 4).
 
     Returns (codes, theta, w_plus_sq, w_minus_sq): codes index
-    tuple(Selection), and -1 marks a row left undecided (see the module
-    docstring) for classify_pair or analyze_point. theta and the candidate
-    norms w.w are NaN where p.s ~ 0 and on the rows left undecided for
-    theta's rescale. Each quantity is computed with the scalar path's
-    operations in its order; only numpy's arcsinh and exp may differ from
-    math's in the last bit.
+    tuple(Selection); theta and the (unscaled) candidate norms w.w are NaN
+    where p.s ~ 0. Each quantity is computed with the scalar path's
+    operations in its order, and a row theta or causal_class would rescale
+    is rescaled the same way; only numpy's arcsinh and exp may differ from
+    math's in the last bit. On the first row, in row order, where
+    classify_pair raises, raises the same error.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -264,44 +258,48 @@ def classify_batch(
         raise ValueError(f"p and s must both have shape (N, 4), got {p.shape}, {s.shape}")
     p, s = p.T, s.T  # one row per component, as inner and euclidean_sq read them
     with np.errstate(all="ignore"):
-        q = inner(p, s)
+        pr, sr = p, s  # as theta rescales them; a zero p or s stays zero
         thr_o = tols.ortho * (np.sqrt(euclidean_sq(p)) * np.sqrt(euclidean_sq(s)))
-        # theta rescales nonzero p and s whose threshold under- or overflowed
-        rescale = ~((thr_o >= _TINY) & (thr_o <= _HUGE))
-        if rescale.any():  # rare; the zero tests are slow on (4, N) views
-            rescale &= p.any(axis=0) & s.any(axis=0)
-        degenerate = (np.abs(q) <= thr_o) & ~rescale
-        th = np.arcsinh((inner(p, p) - inner(s, s)) / (2.0 * q))
+        out = ~((thr_o >= _TINY) & (thr_o <= _HUGE))
+        if out.any():
+            pr, sr = p.copy(), s.copy()
+            pr[:, out], sr[:, out] = _rescaled(p[:, out], s[:, out])
+            thr_o = tols.ortho * (np.sqrt(euclidean_sq(pr)) * np.sqrt(euclidean_sq(sr)))
+        q = inner(pr, sr)
+        degenerate = np.abs(q) <= thr_o
+        th = np.arcsinh((inner(pr, pr) - inner(sr, sr)) / (2.0 * q))
         ep = np.exp(th)
         em = np.exp(-th)
-        wp = p * ep + s
-        wm = p * -em + s
-        wp_sq, wm_sq = inner(wp, wp), inner(wm, wm)
-        thr_p = tols.causal * euclidean_sq(wp)
-        thr_m = tols.causal * euclidean_sq(wm)
-        plus = wp_sq > thr_p
-        minus = wm_sq > thr_m
-        undecided = (
-            rescale
-            | ~(np.isfinite(ep) & np.isfinite(em))
-            | ~((thr_p >= _TINY) & (thr_p <= _HUGE))
-            | ~((thr_m >= _TINY) & (thr_m <= _HUGE))
-            | (plus & minus)
-        )
-        boundary = (np.abs(wp_sq) <= thr_p) | (np.abs(wm_sq) <= thr_m)
+        norms, null, timelike = [], [], []
+        for w in (p * ep + s, p * -em + s):
+            norms.append(inner(w, w))
+            q_w, thr = norms[-1], tols.causal * euclidean_sq(w)
+            out = ~((thr >= _TINY) & (thr <= _HUGE))
+            if out.any():  # as causal_class rescales the candidate
+                (v,) = _rescaled(w[:, out])
+                q_w = q_w.copy()
+                q_w[out], thr[out] = inner(v, v), tols.causal * euclidean_sq(v)
+            null.append(np.abs(q_w) <= thr)
+            timelike.append(q_w > thr)
+        overflow = np.isfinite(th) & (np.isinf(ep) | np.isinf(em))  # as math.exp raises
+        raises = ~degenerate & (np.isnan(th) | overflow | (timelike[0] & timelike[1]))
+    if raises.any():
+        i = raises.argmax()
+        if np.isnan(th[i]):
+            raise ValueError("theta is NaN")
+        raise FieldOverflowError(float(th[i])) if overflow[i] else BothTimelikeError()
     codes = np.select(
-        [degenerate, undecided, boundary, plus, minus],
+        [degenerate, null[0] | null[1], timelike[0], timelike[1]],
         [
             _CODE[Selection.ORTHOGONAL_DEGENERATE],
-            -1,
             _CODE[Selection.BOUNDARY],
             _CODE[Selection.PLUS_TIMELIKE],
             _CODE[Selection.MINUS_TIMELIKE],
         ],
         default=_CODE[Selection.BOTH_SPACELIKE],
     )
-    nan = degenerate | rescale
-    th[nan] = wp_sq[nan] = wm_sq[nan] = np.nan
+    wp_sq, wm_sq = norms
+    th[degenerate] = wp_sq[degenerate] = wm_sq[degenerate] = np.nan
     return codes, th, wp_sq, wm_sq
 
 

@@ -63,6 +63,10 @@ class BothTimelikeError(KgBohmError):
     verdict.
     """
 
+    def __init__(self):
+        super().__init__("both candidate covectors classified timelike; orthogonal "
+                         "vectors cannot both be timelike, check tolerances")
+
 
 class FieldOverflowError(KgBohmError):
     """exp(|theta|) is not representable in double precision."""

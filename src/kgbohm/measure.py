@@ -15,9 +15,9 @@ Near-node and degenerate samples land in their own buckets rather than
 being discarded, keeping totals conserved and biases visible.
 
 Verdicts come from the batch kernel (Superposition.polar_gradients_batch
-and construction.classify_batch), a chunk or a whole lattice at a time;
-the rows it leaves undecided go through analyze_point or classify_pair,
-which decide or raise exactly as they do for a single event.
+and construction.classify_batch), a chunk or a whole lattice at a time.
+The kernel decides every row, and raises where analyze_point or
+classify_pair would raise for that event.
 """
 
 from __future__ import annotations
@@ -29,15 +29,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .construction import (
-    DEFAULT_TOLERANCES,
-    Selection,
-    Tolerances,
-    analyze_point,
-    classify_batch,
-    classify_pair,
-)
-from .minkowski import FourVector, inner
+from .construction import DEFAULT_TOLERANCES, Selection, Tolerances, classify_batch
+from .minkowski import FourVector
 from .wavefield import Superposition
 
 __all__ = [
@@ -56,8 +49,7 @@ __all__ = [
 
 # Verdict buckets, one per selection outcome; verdict code i is bucket i.
 TALLY_KEYS = tuple(s.value for s in Selection)
-_SELECTIONS = tuple(Selection)
-_NODE = _SELECTIONS.index(Selection.NODE)
+_NODE = TALLY_KEYS.index(Selection.NODE.value)
 
 WILSON_Z95 = 1.959963984540054
 
@@ -198,19 +190,12 @@ def _verdicts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Verdict codes, theta and candidate norms w.w at the events x (N, 4).
 
-    Node rows carry NaN numerics, like p.s ~ 0 rows. Rows classify_batch
-    leaves undecided go through analyze_point.
+    Node rows carry NaN numerics, like p.s ~ 0 rows.
     """
     _, p, s, node = w.polar_gradients_batch(x, tols.node)
+    p[node] = s[node] = 0.0  # NaN there; a zero pair is degenerate, then relabelled
     codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
     codes[node] = _NODE
-    for i in np.flatnonzero(codes < 0):
-        a = analyze_point(w, FourVector(*x[i].tolist()), tols)
-        codes[i] = _SELECTIONS.index(a.selection)
-        if a.theta is not None:
-            th[i] = a.theta
-            wp_sq[i] = inner(a.w_plus, a.w_plus)
-            wm_sq[i] = inner(a.w_minus, a.w_minus)
     return codes, th, wp_sq, wm_sq
 
 
@@ -259,10 +244,6 @@ def sample_pair_space(
     for rng, count in _chunk_rngs(n, seed):
         pairs = rng.standard_normal((count, 8)) * sigma
         codes = classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
-        for i in np.flatnonzero(codes < 0):
-            row = pairs[i].tolist()
-            sel = classify_pair(FourVector(*row[:4]), FourVector(*row[4:]), tols)
-            codes[i] = _SELECTIONS.index(sel)
         tally += np.bincount(codes, minlength=len(TALLY_KEYS))
     return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, sigma=sigma)
 

@@ -19,6 +19,8 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "DEFAULT_CLASS_TOL",
     "CausalClass",
@@ -125,15 +127,16 @@ def euclidean_norm(v: FourVector) -> float:
     return math.sqrt(euclidean_sq(v))
 
 
-def _rescaled(*vs: FourVector) -> tuple[FourVector, ...]:
-    """The vectors times the one power of two that brings their largest
-    |component| into [0.5, 1); all zero or non-finite, they come back
-    unchanged."""
-    m = max(abs(c) for v in vs for c in v)
-    if m == 0.0 or not math.isfinite(m):
-        return vs
-    e = -math.frexp(m)[1]
-    return tuple(FourVector(*(math.ldexp(c, e) for c in v)) for v in vs)
+def _rescaled(*vs):
+    """The FourVectors or (4, N) component arrays vs, as the same kind, each
+    column times the power of two that brings its largest |component| across
+    vs into [0.5, 1); an all-zero or non-finite column comes back unchanged."""
+    arrays = [np.asarray(v, dtype=float) for v in vs]
+    m = np.max([np.abs(a).max(axis=0) for a in arrays], axis=0)
+    e = np.where(np.isfinite(m), -np.frexp(m)[1], 0)
+    if isinstance(vs[0], FourVector):  # the scalar path stays in Python floats
+        return tuple(FourVector(*np.ldexp(a, e).tolist()) for a in arrays)
+    return tuple(np.ldexp(a, e) for a in arrays)
 
 
 def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:

@@ -242,34 +242,27 @@ class Superposition:
             raise ValueError("superposition config missing 'mass'")
         if "modes" not in data or not isinstance(data["modes"], list):
             raise ValueError("superposition config missing 'modes' list")
-        mass = data["mass"]
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool) or mass <= 0:
-            raise ValueError(f"mass must be a positive number, got {mass!r}")
+        mass = _numbers([data["mass"]], 1, "mass must be a number")[0]
         modes = []
         for i, entry in enumerate(data["modes"]):
             if not isinstance(entry, dict):
                 raise ValueError(f"mode {i}: entry must be an object")
-            k_list = entry.get("k")
-            if (
-                not isinstance(k_list, list)
-                or len(k_list) != 4
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in k_list)
-            ):
-                raise ValueError(f"mode {i}: 'k' must be a list of 4 numbers")
-            c_list = entry.get("c")
-            if (
-                not isinstance(c_list, list)
-                or len(c_list) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in c_list)
-            ):
-                raise ValueError(f"mode {i}: 'c' must be [re, im]")
-            modes.append(
-                PlaneWaveMode(
-                    k=FourVector(*map(float, k_list)),
-                    c=complex(c_list[0], c_list[1]),
-                )
-            )
-        return cls(mass=float(mass), modes=tuple(modes))
+            k = _numbers(entry.get("k"), 4, f"mode {i}: 'k' must be a list of 4 numbers")
+            c = _numbers(entry.get("c"), 2, f"mode {i}: 'c' must be [re, im]")
+            modes.append(PlaneWaveMode(k=FourVector(*k), c=complex(*c)))
+        return cls(mass=mass, modes=tuple(modes))
+
+
+def _numbers(values, count: int, refusal: str) -> list[float]:
+    """A JSON list of count numbers (not booleans) as floats, else ValueError."""
+    if not isinstance(values, list) or len(values) != count or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ValueError(refusal)
+    try:
+        return [float(v) for v in values]
+    except OverflowError:
+        raise ValueError(f"{refusal}; got an integer too large for a float") from None
 
 
 def counterexample(mass: float = 1.0) -> Superposition:

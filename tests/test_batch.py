@@ -3,22 +3,26 @@
 polar_gradients_batch and classify_batch compute the scalar path's
 quantities on arrays. Verdicts must agree on every row whose margins lie
 outside 10x every tolerance; theta and the candidate norms within 1e-10
-relative. A row the kernel leaves undecided (code -1) is one the scalar
-path decides or raises on, never one it answers differently.
+relative. The kernel decides every row itself, and raises the scalar
+path's error where the scalar path raises.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import kgbohm.construction
+import kgbohm.measure
 from kgbohm import (
     DEFAULT_TOLERANCES,
     BothTimelikeError,
     FieldOverflowError,
     FourVector,
     NodeError,
+    PlaneClass,
     PlaneWaveMode,
     Region,
     Selection,
@@ -28,14 +32,18 @@ from kgbohm import (
     classify_pair,
     counterexample,
     estimate_spacetime_fraction,
+    euclidean_norm,
     euclidean_sq,
     grid_scan,
     inner,
+    plane_class,
+    raise_index,
     sample_pair_space,
     theta,
     w_fields,
 )
 from kgbohm.construction import classify_batch
+from kgbohm.minkowski import _rescaled
 from support import random_superposition
 
 SELECTIONS = tuple(Selection)
@@ -117,8 +125,7 @@ def test_batch_kernel_matches_analyze_point(name, tols):
     w = make()
     x = np.random.default_rng([7, n]).uniform(-half, half, size=(n, 4))
     psi, p, s, node = w.polar_gradients_batch(x, tols.node)
-    codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
-    checked = 0
+    scalar = {}
     for i, row in enumerate(x.tolist()):
         ev = FourVector(*row)
         assert psi[i] == pytest.approx(w.evaluate(ev), rel=1e-12, abs=1e-12 * w.amp_sum)
@@ -132,11 +139,17 @@ def test_batch_kernel_matches_analyze_point(name, tols):
         for got, want in zip(np.concatenate([p[i], s[i]]), (*pol.p_mu, *pol.s_mu)):
             assert abs(got - want) <= 1e-12 * g
         try:
-            a = analyze_point(w, ev, tols)
-        except (BothTimelikeError, FieldOverflowError):
-            assert codes[i] == -1  # the kernel never answers where the scalar path raises
-            continue
-        if codes[i] == -1 or in_band(a.p_mu, a.s_mu, a.w_plus, a.w_minus, tols):
+            scalar[i] = analyze_point(w, ev, tols)
+        except (BothTimelikeError, FieldOverflowError) as exc:
+            assert name == "one_mode", exc
+            with pytest.raises(type(exc)):  # the kernel raises where the scalar path does
+                classify_batch(p, s, tols)
+            return
+    p[node] = s[node] = 0.0  # NaN there, which classify_batch raises on, as theta does
+    codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
+    checked = 0
+    for i, a in scalar.items():
+        if in_band(a.p_mu, a.s_mu, a.w_plus, a.w_minus, tols):
             continue
         checked += 1
         assert SELECTIONS[codes[i]] is a.selection
@@ -147,7 +160,9 @@ def test_batch_kernel_matches_analyze_point(name, tols):
             assert close(wp_sq[i], inner(a.w_plus, a.w_plus), euclidean_sq(a.w_plus))
             assert close(wm_sq[i], inner(a.w_minus, a.w_minus), euclidean_sq(a.w_minus))
     if name in ("counterexample", "packet0", "packet1", "packet2", "packet3", "degenerate"):
-        assert checked > 0.5 * n and not (codes[~node] == -1).any()
+        assert checked > 0.5 * n
+    if name == "one_mode":
+        pytest.fail("no event of the one-mode field raised")
     if name == "null":
         assert node.all()
 
@@ -155,7 +170,6 @@ def test_batch_kernel_matches_analyze_point(name, tols):
 def test_classify_batch_matches_classify_pair_on_normal_pairs():
     pairs = np.random.default_rng(4242).standard_normal((20_000, 8))
     codes, th, wp_sq, wm_sq = classify_batch(pairs[:, :4], pairs[:, 4:], TOLS)
-    assert not (codes == -1).any()
     checked = 0
     for i, row in enumerate(pairs.tolist()):
         p, s = FourVector(*row[:4]), FourVector(*row[4:])
@@ -180,72 +194,132 @@ vectors = st.builds(FourVector, *([components] * 4))
 
 
 def scalar_outcome(p, s):
+    """classify_pair's verdict, or the type of what it raises, and its
+    candidates (None where it has none)."""
     try:
-        return classify_pair(p, s, TOLS)
+        sel = classify_pair(p, s, TOLS)
     except (BothTimelikeError, FieldOverflowError) as exc:
-        return type(exc)
+        return type(exc), None, None
+    if sel is Selection.ORTHOGONAL_DEGENERATE:
+        return sel, None, None
+    return (sel, *w_fields(p, s, theta(p, s, TOLS.ortho)))
 
 
 @given(vectors, vectors, st.sampled_from([-600, 600]))
 def test_classify_batch_on_pairs_rescaled_far_from_one(p, s, e):
     f = math.ldexp(1.0, e)
     ps, ss = p * f, s * f
-    codes, th, wp_sq, wm_sq = classify_batch(np.array([ps]), np.array([ss]), TOLS)
-    want = scalar_outcome(ps, ss)
-    if codes[0] == -1:
-        return  # the scalar path decides this row, whatever want is
-    assert isinstance(want, Selection)  # the kernel never answers where classify_pair raises
-    if not in_band(p, s):
+    want, wp, wm = scalar_outcome(ps, ss)
+    if not isinstance(want, Selection):
+        with pytest.raises(want):  # the kernel raises where classify_pair raises
+            classify_batch(np.array([ps]), np.array([ss]), TOLS)
+        return
+    codes = classify_batch(np.array([ps]), np.array([ss]), TOLS)[0]
+    if not in_band(*scalar_margins(ps, ss, wp, wm)) and not cancelled(ps, ss, wp, wm):
         assert SELECTIONS[codes[0]] is want
 
 
-def test_undecided_rows_are_left_to_the_scalar_path():
-    # exp(theta) overflows: classify_pair raises FieldOverflowError
-    p, s = FourVector(1.0, 0.0, 0.0, 0.0), FourVector(5e-309, 0.0, 0.0, 0.0)
-    assert classify_batch(np.array([p]), np.array([s]))[0][0] == -1
-    with pytest.raises(FieldOverflowError):
-        classify_pair(p, s)
-    # candidates whose squares underflow: classify_pair rescales and decides
-    rng = np.random.default_rng(3)
-    tiny = math.ldexp(1.0, -500)
-    for row in rng.standard_normal((50, 8)).tolist():
-        p, s = FourVector(*row[:4]), FourVector(*row[4:])
-        code = classify_batch(np.array([p]) * tiny, np.array([s]) * tiny)[0][0]
-        want = classify_pair(p, s)
-        if want is not Selection.ORTHOGONAL_DEGENERATE:
-            assert code == -1
-        assert classify_pair(p * tiny, s * tiny) is want
+def scalar_margins(p, s, wp, wm):
+    """The pair and its candidates as theta and causal_class rescale them,
+    which moves no margin against its threshold."""
+    p, s = _rescaled(p, s)
+    if wp is None:
+        return p, s
+    return (p, s, *_rescaled(wp), *_rescaled(wm))
+
+
+def cancelled(p, s, wp, wm):
+    """True when a candidate is below 1e-6 of its terms exp(+-theta) p and s.
+
+    One ulp of theta (numpy's arcsinh against math's) moves such a
+    candidate's margin by more than a tenth of the tolerance, so rounding
+    decides its class; parallel p and s give an exactly null candidate whose
+    rounding residue can come out spacelike on one path and zero on the other.
+    """
+    if wp is None:
+        return False
+    p, s = _rescaled(p, s)
+    th = theta(p, s, TOLS.ortho)
+    return any(
+        euclidean_norm(w) <= 1e-6 * (f * euclidean_norm(p) + euclidean_norm(s))
+        for f, w in zip((math.exp(th), math.exp(-th)), w_fields(p, s, th))
+    )
+
+
+ONE_MODE_BOX = Region(FourVector(-1.0, -1.0, -1.0, -1.0), FourVector(1.0, 1.0, 1.0, 1.0))
+
+
+def test_kernel_raises_where_the_scalar_path_raises():
+    # exp(theta) overflows
+    big = FourVector(1.0, 0.0, 0.0, 0.0), FourVector(5e-309, 0.0, 0.0, 0.0)
+    # p.p - s.s and 2 p.s both overflow, so theta is NaN
+    h = math.sqrt(sys.float_info.max)
+    nan = FourVector(0.999 * h, 0.0, 0.0, 0.0), FourVector(0.6 * h, 0.79 * h, 0.0, 0.0)
+    for pair, error in ((big, FieldOverflowError), (nan, ValueError)):
+        with pytest.raises(error):
+            classify_pair(*pair)
+        with pytest.raises(error):
+            classify_batch(np.array([PLUS_P, pair[0]]), np.array([PLUS_S, pair[1]]))
+    # the first raising row, in row order, decides the error
+    with pytest.raises(ValueError):
+        classify_batch(np.array([nan[0], big[0]]), np.array([nan[1], big[1]]))
     # both candidates timelike: the one-mode field raises, in bulk too
     with pytest.raises(BothTimelikeError):
-        estimate_spacetime_fraction(
-            one_mode(),
-            Region(FourVector(-1.0, -1.0, -1.0, -1.0), FourVector(1.0, 1.0, 1.0, 1.0)),
-            n=3000,
-            seed=5,
-        )
+        estimate_spacetime_fraction(one_mode(), ONE_MODE_BOX, n=3000, seed=5)
+    # theta = -inf: math.exp(inf) is inf without an OverflowError, so neither
+    # path raises, and the kernel gives classify_pair's verdict
+    p, s = INF_THETA
+    assert theta(p, s) == -math.inf
+    assert SELECTIONS[classify_batch(np.array([p]), np.array([s]))[0][0]] is classify_pair(p, s)
+
+
+# (p.p - s.s) / (2 p.s) overflows, so theta = -inf
+INF_THETA = FourVector(0.0, 2.225073858507e-311, 0.0, 0.0), FourVector(1.0, 2.0, 0.0, 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="exp(+-inf) saturates: a NaN candidate reads as spacelike")
+def test_infinite_theta_pair_gets_its_verdict():
+    # p and s span the (x0, x1) plane, which is Lorentzian; exactly,
+    # -exp(-theta) p + s = (1, 0.5, 0, 0) is timelike. Computed, exp(-theta)
+    # is inf, 0 * inf makes the candidate NaN, and causal_class calls it
+    # spacelike, so the verdict is both_spacelike.
+    p, s = INF_THETA
+    assert plane_class(p, s) is PlaneClass.LORENTZIAN_PLANE
+    assert classify_pair(p, s) is Selection.MINUS_TIMELIKE
 
 
 PLUS_P = FourVector(0.3, 1.2, -0.7, 0.4)
 PLUS_S = FourVector(1.1, -0.2, 0.5, 0.9)
 
 
-@pytest.mark.parametrize("e", [-600, 520])
+@pytest.mark.parametrize("e", [-600, -500, 520])
 def test_theta_rescales_pairs_whose_squares_under_or_overflow(e):
     f = math.ldexp(1.0, e)
     p, s = PLUS_P * f, PLUS_S * f
     assert classify_pair(PLUS_P, PLUS_S) is Selection.PLUS_TIMELIKE
     assert theta(p, s) == theta(PLUS_P, PLUS_S)
     assert classify_pair(p, s) is Selection.PLUS_TIMELIKE
-    codes, th, wp_sq, wm_sq = classify_batch(np.array([p]), np.array([s]))
-    assert codes[0] == -1  # theta's rescale belongs to the scalar path
-    assert np.isnan([th[0], wp_sq[0], wm_sq[0]]).all()
-    # a zero covector stays degenerate; where |p||s| is 0 * inf, the kernel
-    # leaves the row to the scalar path
+    codes, th, wp_sq, wm_sq = classify_batch(np.array([p, PLUS_P]), np.array([s, PLUS_S]))
+    assert SELECTIONS[codes[0]] is Selection.PLUS_TIMELIKE
+    assert th[0] == th[1] and close(th[0], theta(PLUS_P, PLUS_S), abs(th[0]))
+    # the norms are those of the candidates of the given pair, not rescaled
+    wp, wm = w_fields(p, s, theta(p, s))
+    np.testing.assert_allclose([wp_sq[0], wm_sq[0]], [inner(wp, wp), inner(wm, wm)], rtol=RTOL)
+    # the candidates of normal pairs scaled by 2^e and 2^-e in turn: each row
+    # gets its own power of two before each test, so every verdict is the
+    # unscaled pair's
+    pairs = np.random.default_rng(3).standard_normal((50, 8))
+    rows = np.ldexp(pairs, np.resize([e, -e], 50)[:, None])
+    codes = classify_batch(rows[:, :4], rows[:, 4:])[0]
+    for code, row in zip(codes, pairs.tolist()):
+        assert SELECTIONS[code] is classify_pair(FourVector(*row[:4]), FourVector(*row[4:]))
+    # a zero covector stays degenerate
     zero = FourVector(0.0, 0.0, 0.0, 0.0)
-    for pair in ((zero, s), (p, zero)):
+    for pair in ((zero, s), (p, zero), (zero, zero)):
         assert classify_pair(*pair) is Selection.ORTHOGONAL_DEGENERATE
-        code = classify_batch(np.array([pair[0]]), np.array([pair[1]]))[0][0]
-        assert code == -1 or SELECTIONS[code] is Selection.ORTHOGONAL_DEGENERATE
+        codes, th, wp_sq, wm_sq = classify_batch(np.array([pair[0]]), np.array([pair[1]]))
+        assert SELECTIONS[codes[0]] is Selection.ORTHOGONAL_DEGENERATE
+        assert np.isnan([th[0], wp_sq[0], wm_sq[0]]).all()
 
 
 @pytest.mark.parametrize("sigma", [2.0**-600, 2.0**520])
@@ -258,8 +332,8 @@ def test_sample_pair_space_is_scale_free(sigma):
 @pytest.mark.parametrize("e", [-600, -500, 520])
 def test_grid_scan_is_scale_free(e, degenerate_field):
     # k -> k * 2^e and x -> x * 2^-e keep every phase, so every verdict.
-    # At 2^-500 the squares stay normal but the p.s ~ 0 threshold underflows:
-    # the scalar path decides those rows, and its degenerate cells keep NaN.
+    # At 2^-500 the squares stay normal but the p.s ~ 0 threshold underflows,
+    # and the degenerate cells still carry NaN.
     f = math.ldexp(1.0, e)
     box = Region(BOX.lo * (1 / f), BOX.hi * (1 / f))
     want = grid_scan(counterexample(), BOX, (4, 4, 4, 4)).cells
@@ -273,6 +347,55 @@ def test_grid_scan_is_scale_free(e, degenerate_field):
     cells = grid_scan(scaled, box, (3, 3, 3, 3)).cells
     assert {c.selection for c in cells} == {"orthogonal_degenerate"}
     assert all(math.isnan(c.theta) and math.isnan(c.w_plus_sq) for c in cells)
+
+
+def test_bulk_paths_run_without_the_scalar_path(monkeypatch, cx):
+    f = math.ldexp(1.0, -600)
+    box = Region(BOX.lo * (1 / f), BOX.hi * (1 / f))
+
+    def bulk():
+        return (
+            estimate_spacetime_fraction(cx, BOX, 10_000, 3),
+            [sample_pair_space(30000, 1, sigma=sigma) for sigma in (f, 2.0**520)],
+            list(map(repr, grid_scan(counterexample(f), box, (4, 4, 4, 4)).cells)),
+        )
+
+    want = bulk()
+
+    def scalar_path(*args, **kwargs):
+        raise AssertionError("a bulk path called the scalar path")
+
+    for module in (kgbohm.construction, kgbohm.measure):
+        for name in ("theta", "w_fields", "causal_class", "classify_pair", "analyze_point"):
+            monkeypatch.setattr(module, name, scalar_path, raising=False)
+    assert bulk() == want
+    with pytest.raises(BothTimelikeError):
+        estimate_spacetime_fraction(one_mode(), ONE_MODE_BOX, n=3000, seed=5)
+
+
+@given(vectors, vectors)
+def test_complement_plane_has_the_other_signature(p, s):
+    # The Minkowski complement of span(p, s) is the null space of the rows
+    # raise_index(p), raise_index(s); a spacelike plane's complement is
+    # Lorentzian and a Lorentzian plane's is spacelike.
+    want, wp, wm = scalar_outcome(p, s)
+    assume(want in (Selection.BOTH_SPACELIKE, Selection.PLUS_TIMELIKE, Selection.MINUS_TIMELIKE))
+    # a candidate that is not finite (theta = +-inf, see
+    # test_infinite_theta_pair_gets_its_verdict) has no margin outside the band
+    assume(wp.is_finite() and wm.is_finite())
+    assume(not in_band(*scalar_margins(p, s, wp, wm)))
+    # the plane's own Gram margin, on p and s rescaled as plane_class does
+    (a,), (b,) = _rescaled(p), _rescaled(s)
+    gram = inner(a, a) * inner(b, b) - inner(a, b) ** 2
+    assume(abs(gram) > BAND * TOLS.causal * euclidean_sq(a) * euclidean_sq(b))
+    rows = np.array([raise_index(p), raise_index(s)])
+    rows /= np.abs(rows).max(axis=1, keepdims=True)  # so SVD keeps the smaller one
+    u, v = (FourVector(*row) for row in np.linalg.svd(rows)[2][2:].tolist())
+    code = classify_batch(np.array([p]), np.array([s]), TOLS)[0][0]
+    assert SELECTIONS[code] is want
+    plane = plane_class(u, v, TOLS.causal)
+    assert (plane is PlaneClass.LORENTZIAN_PLANE) == (want is Selection.BOTH_SPACELIKE)
+    assert (plane is PlaneClass.SPACELIKE_PLANE) == (want is not Selection.BOTH_SPACELIKE)
 
 
 def test_grid_scan_matches_analyze_point(cx):

@@ -171,6 +171,34 @@ class TestClassify:
         assert code == 2
         assert "--config" in err and "mode 0" in err
 
+    @pytest.mark.parametrize(
+        "field, expect",
+        [("mass", "mass must be a number"), ("k", "mode 0: 'k'"), ("c", "mode 0: 'c'")],
+    )
+    def test_integer_too_large_for_a_float_refused(self, capsys, tmp_path, field, expect):
+        config = {"mass": 1, "modes": [{"k": [1, 0, 0, 0], "c": [2, 1]}]}
+        huge = 10**400
+        if field == "mass":
+            config["mass"] = huge
+        else:
+            config["modes"][0][field][0] = huge
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(config))
+        code, _, err = run(
+            capsys, "classify", "--config", str(bad), "--x", "0", "0", "0", "0"
+        )
+        assert code == 2
+        assert err.startswith(f"error: --config: {expect}") and "too large" in err
+        assert len(err.splitlines()) == 1
+
+    def test_config_that_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys, "classify", "--config", str(tmp_path), "--x", "0", "0", "0", "0"
+        )
+        assert code == 2
+        assert err.startswith(f"error: --config: cannot read {tmp_path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_unparseable_config(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -440,6 +468,24 @@ class TestSamplePairs:
         )
         assert code == 2
         assert "--sigma" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", *TestMeasure.BOX, "--n", "10"],
+        ["scan", *TestScan.BOX, "--resolution", "2", "2", "2", "2"],
+    ],
+    ids=["json", "csv"],
+)
+def test_out_in_a_missing_directory_refused(capsys, tmp_path, argv):
+    out = tmp_path / "absent" / "result"
+    code, stdout, err = run(
+        capsys, *argv[:1], "--builtin", "counterexample", *argv[1:], "--out", str(out)
+    )
+    assert code == 2
+    assert err == f"error: --out: no such directory: {out.parent}\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
 class TestParser:
