@@ -16,7 +16,7 @@ is ill-defined here" answers; 1 means it could not be computed (node at the
 requested event, ill-defined trajectory start, verification mismatch, both
 candidates classified timelike);
 2 means bad input (usage, config validation or reading, out-of-range flag,
-an --out whose directory does not exist).
+an --out whose directory does not exist or that names a directory).
 """
 
 from __future__ import annotations
@@ -433,8 +433,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = getattr(args, "out", None)
-        if out is not None and not out.parent.is_dir():  # refused before any work
-            raise _CliError(f"--out: no such directory: {out.parent}")
+        if out is not None:  # refused before any work
+            if not out.parent.is_dir():
+                raise _CliError(f"--out: no such directory: {out.parent}")
+            if out.is_dir():
+                raise _CliError(f"--out: is a directory: {out}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

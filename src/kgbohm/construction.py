@@ -121,8 +121,9 @@ class PointAnalysis:
 
     gram_consistent records the cross-check of the selection verdict
     against the Gram-matrix plane criterion: a both-spacelike selection
-    must coincide with a spacelike plane. Boundary or degenerate-plane
-    verdicts are not contradictions, so the flag stays true there.
+    must coincide with a spacelike plane. Boundary, p.s ~ 0 or
+    degenerate-plane verdicts are not contradictions, so the flag stays
+    true there.
     """
 
     x: FourVector
@@ -228,12 +229,25 @@ def classify_pair(
     Lightweight path for pair-space sampling; the excluded p.s ~ 0 case
     is the ORTHOGONAL_DEGENERATE verdict.
     """
+    return _candidates(p, s, tols)[-1]
+
+
+def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
+    """(theta, w_plus, w_minus, class_plus, class_minus, selection) for the
+    pair (p, s); where p.s ~ 0 the selection is ORTHOGONAL_DEGENERATE and
+    the other five are None.
+
+    The one scalar sequence theta -> w_fields -> causal_class x2 -> select,
+    shared by classify_pair, analyze_point and the trajectory stages.
+    """
     try:
         th = theta(p, s, tols.ortho)
     except OrthogonalDegenerateError:
-        return Selection.ORTHOGONAL_DEGENERATE
+        return None, None, None, None, None, Selection.ORTHOGONAL_DEGENERATE
     wp, wm = w_fields(p, s, th)
-    return select(causal_class(wp, tols.causal), causal_class(wm, tols.causal))
+    cp = causal_class(wp, tols.causal)
+    cm = causal_class(wm, tols.causal)
+    return th, wp, wm, cp, cm, select(cp, cm)
 
 
 _CODE = {sel: i for i, sel in enumerate(Selection)}  # classify_batch's verdict codes
@@ -304,7 +318,10 @@ def classify_batch(
 
 
 def _gram_consistent(selection: Selection, plane: PlaneClass) -> bool:
-    if selection is Selection.BOUNDARY or plane is PlaneClass.DEGENERATE_PLANE:
+    if (
+        selection in (Selection.BOUNDARY, Selection.ORTHOGONAL_DEGENERATE)
+        or plane is PlaneClass.DEGENERATE_PLANE
+    ):
         return True
     return (selection is Selection.BOTH_SPACELIKE) == (
         plane is PlaneClass.SPACELIKE_PLANE
@@ -330,22 +347,7 @@ def analyze_point(
             x=x, psi=w.evaluate(x), selection=Selection.NODE, gram_consistent=True
         )
     plane = plane_class(pol.p_mu, pol.s_mu, tols.causal)
-    try:
-        th = theta(pol.p_mu, pol.s_mu, tols.ortho)
-    except OrthogonalDegenerateError:
-        return PointAnalysis(
-            x=x,
-            psi=pol.psi,
-            selection=Selection.ORTHOGONAL_DEGENERATE,
-            gram_consistent=True,
-            p_mu=pol.p_mu,
-            s_mu=pol.s_mu,
-            plane=plane,
-        )
-    wp, wm = w_fields(pol.p_mu, pol.s_mu, th)
-    cp = causal_class(wp, tols.causal)
-    cm = causal_class(wm, tols.causal)
-    sel = select(cp, cm)
+    th, wp, wm, cp, cm, sel = _candidates(pol.p_mu, pol.s_mu, tols)
     return PointAnalysis(
         x=x,
         psi=pol.psi,

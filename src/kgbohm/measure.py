@@ -232,17 +232,22 @@ def sample_pair_space(
 
     Each of the 8 components is drawn from a centered normal of scale
     sigma. The classification is homogeneous of degree zero, so estimates
-    are sigma-invariant up to sampling noise; sigma is still recorded as
-    the reference measure. The node bucket stays zero here (there is no
+    are sigma-invariant up to sampling noise, and equal for sigmas a power
+    of two apart; sigma is still recorded as the reference measure. The node bucket stays zero here (there is no
     wave function to vanish).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (sigma > 0 and math.isfinite(sigma)):
+        raise ValueError("sigma must be positive and finite")
+    # The verdicts are homogeneous of degree zero, so sigma's power of two
+    # is left out: draws at its mantissa give the counts the draws at sigma
+    # give wherever those are exact, and cannot overflow near the float
+    # maximum or lose bits to subnormals.
+    mantissa = math.frexp(sigma)[0]
     tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
     for rng, count in _chunk_rngs(n, seed):
-        pairs = rng.standard_normal((count, 8)) * sigma
+        pairs = rng.standard_normal((count, 8)) * mantissa
         codes = classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
         tally += np.bincount(codes, minlength=len(TALLY_KEYS))
     return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, sigma=sigma)

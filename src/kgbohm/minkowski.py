@@ -69,17 +69,18 @@ class FourVector(NamedTuple):
     def __add__(self, other):
         if not isinstance(other, FourVector):
             return NotImplemented
-        return FourVector(
-            self.c0 + other.c0,
-            self.c1 + other.c1,
-            self.c2 + other.c2,
-            self.c3 + other.c3,
+        # tuple.__new__ skips the namedtuple's Python-level __new__
+        return tuple.__new__(
+            FourVector,
+            (self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3),
         )
 
     def __mul__(self, s):
         if not isinstance(s, (int, float)):
             return NotImplemented
-        return FourVector(self.c0 * s, self.c1 * s, self.c2 * s, self.c3 * s)
+        return tuple.__new__(
+            FourVector, (self.c0 * s, self.c1 * s, self.c2 * s, self.c3 * s)
+        )
 
     def __rmul__(self, s):
         return self.__mul__(s)

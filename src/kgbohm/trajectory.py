@@ -9,6 +9,12 @@ candidates spacelike, degenerate p.s, a null-boundary verdict, or the
 nodal set) the whole step is rejected, the last accepted point is kept,
 and the cause is recorded. No continuation rule is invented past such a
 region and no interpolation to its boundary is attempted.
+
+A stage evaluates only what the velocity needs: the polar split, theta,
+the two candidates, their causal classes and the selection, through the
+same scalar functions as analyze_point, so every verdict and covector is
+analyze_point's bit for bit. The Gram-criterion cross-check is not part
+of a stage: it stays in analyze_point, behind classify and verify.
 """
 
 from __future__ import annotations
@@ -22,13 +28,12 @@ from typing import NamedTuple
 
 from .construction import (
     DEFAULT_TOLERANCES,
-    PointAnalysis,
     Selection,
     Tolerances,
-    analyze_point,
+    _candidates,
 )
-from .errors import FieldOverflowError, IllDefinedVelocityError
-from .minkowski import FourVector, inner, raise_index
+from .errors import FieldOverflowError, IllDefinedVelocityError, NodeError
+from .minkowski import _HUGE, FourVector, inner, raise_index
 from .wavefield import Superposition
 
 __all__ = [
@@ -73,9 +78,13 @@ class TrajectoryConfig:
     tols: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        if not (isinstance(self.step, (int, float)) and self.step > 0):
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        if not (isinstance(self.max_steps, int) and self.max_steps >= 1):
+        if isinstance(self.step, bool) or not (
+            isinstance(self.step, (int, float)) and 0 < self.step <= _HUGE
+        ):
+            raise ValueError(f"step must be a positive finite number, got {self.step!r}")
+        if isinstance(self.max_steps, bool) or not (
+            isinstance(self.max_steps, int) and self.max_steps >= 1
+        ):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
@@ -101,19 +110,24 @@ class TrajectoryResult:
 
 def _tangent(
     w: Superposition, x: FourVector, tols: Tolerances
-) -> tuple[FourVector, PointAnalysis]:
-    a = analyze_point(w, x, tols)
-    if a.selection is Selection.PLUS_TIMELIKE:
-        w_sel = a.w_plus
-    elif a.selection is Selection.MINUS_TIMELIKE:
-        w_sel = a.w_minus
+) -> tuple[FourVector, FourVector, Selection]:
+    """(unit tangent, selected covector, verdict) at x: one RK4 stage."""
+    try:
+        pol = w.polar_gradients(x, node_tol=tols.node)
+    except NodeError:
+        raise IllDefinedVelocityError(Selection.NODE) from None
+    _, wp, wm, _, _, sel = _candidates(pol.p_mu, pol.s_mu, tols)
+    if sel is Selection.PLUS_TIMELIKE:
+        w_sel = wp
+    elif sel is Selection.MINUS_TIMELIKE:
+        w_sel = wm
     else:
-        raise IllDefinedVelocityError(a.selection)
+        raise IllDefinedVelocityError(sel)
     norm = math.sqrt(inner(w_sel, w_sel))
     u = raise_index(w_sel) * (1.0 / norm)
     if u.c0 < 0.0:
         u = -u
-    return u, a
+    return u, w_sel, sel
 
 
 def velocity(
@@ -127,8 +141,7 @@ def velocity(
     included. Scaling psi by a nonzero constant leaves the result
     unchanged (constants drop out of grad(psi)/psi).
     """
-    u, _ = _tangent(w, x, tols)
-    return u
+    return _tangent(w, x, tols)[0]
 
 
 def integrate(
@@ -152,8 +165,8 @@ def integrate(
         )
     tols = cfg.tols
     h = cfg.step
-    u, a = _tangent(w, x0, tols)
-    points = [TrajectoryPoint(0.0, x0, u, _selected_w(a), a.selection)]
+    u, w_sel, sel = _tangent(w, x0, tols)
+    points = [TrajectoryPoint(0.0, x0, u, w_sel, sel)]
     x = x0
     tau = 0.0
     termination = Termination.MAX_STEPS
@@ -163,13 +176,13 @@ def integrate(
         stage_x = x
         try:
             stage_x = x + k1 * (h / 2.0)
-            k2, _unused = _tangent(w, stage_x, tols)
+            k2 = _tangent(w, stage_x, tols)[0]
             stage_x = x + k2 * (h / 2.0)
-            k3, _unused = _tangent(w, stage_x, tols)
+            k3 = _tangent(w, stage_x, tols)[0]
             stage_x = x + k3 * h
-            k4, _unused = _tangent(w, stage_x, tols)
+            k4 = _tangent(w, stage_x, tols)[0]
             stage_x = x + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
-            u_next, a_next = _tangent(w, stage_x, tols)
+            u_next, w_sel, sel = _tangent(w, stage_x, tols)
         except IllDefinedVelocityError as e:
             termination = _TERMINATION[e.selection]
             failed_at = stage_x
@@ -181,12 +194,8 @@ def integrate(
         x = stage_x
         u = u_next
         tau += h
-        points.append(TrajectoryPoint(tau, x, u, _selected_w(a_next), a_next.selection))
+        points.append(TrajectoryPoint(tau, x, u, w_sel, sel))
     return TrajectoryResult(points=points, termination=termination, failed_at=failed_at)
-
-
-def _selected_w(a: PointAnalysis) -> FourVector:
-    return a.w_plus if a.selection is Selection.PLUS_TIMELIKE else a.w_minus
 
 
 def write_trajectory_csv(result: TrajectoryResult, path: str | Path) -> None:

@@ -155,11 +155,22 @@ class Superposition:
         """
         if node_tol <= 0:
             raise ValueError("node_tol must be positive")
-        psi = self.evaluate(x)
+        # evaluate and gradient fused, one cos/sin per mode, each with its
+        # own operations in its own order, so the bits are theirs
+        psi = g0 = g1 = g2 = g3 = 0j
+        for mode in self.modes:
+            k = mode.k
+            phase = k.c0 * x.c0 + k.c1 * x.c1 + k.c2 * x.c2 + k.c3 * x.c3
+            e = complex(math.cos(phase), math.sin(phase))
+            psi += mode.c * e
+            f = 1j * mode.c * e
+            g0 += f * k.c0
+            g1 += f * k.c1
+            g2 += f * k.c2
+            g3 += f * k.c3
         threshold = node_tol * self.amp_sum
         if abs(psi) <= threshold:
             raise NodeError(abs(psi), threshold)
-        g0, g1, g2, g3 = self.gradient(x)
         r0 = g0 / psi
         r1 = g1 / psi
         r2 = g2 / psi

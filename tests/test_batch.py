@@ -322,7 +322,7 @@ def test_theta_rescales_pairs_whose_squares_under_or_overflow(e):
         assert np.isnan([th[0], wp_sq[0], wm_sq[0]]).all()
 
 
-@pytest.mark.parametrize("sigma", [2.0**-600, 2.0**520])
+@pytest.mark.parametrize("sigma", [2.0**-600, 2.0**520, 2.0**1023])
 def test_sample_pair_space_is_scale_free(sigma):
     assert sample_pair_space(30000, 1, sigma=sigma).counts == (
         sample_pair_space(30000, 1).counts

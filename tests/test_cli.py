@@ -461,6 +461,18 @@ class TestSamplePairs:
         capsys.readouterr()
         assert first == out.read_bytes()
 
+    def test_sigma_near_the_float_maximum(self, capsys, tmp_path):
+        counts = []
+        for sigma in ("1", "1e308"):
+            out = tmp_path / f"sigma-{sigma}.json"
+            code, _, err = run(
+                capsys, "sample-pairs", "--n", "30000", "--seed", "1",
+                "--sigma", sigma, "--out", str(out),
+            )
+            assert (code, err) == (0, "")
+            counts.append(json.loads(out.read_text())["counts"])
+        assert counts[0] == counts[1]
+
     def test_rejects_bad_sigma(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "sample-pairs", "--n", "10", "--sigma", "-1",
@@ -485,6 +497,24 @@ def test_out_in_a_missing_directory_refused(capsys, tmp_path, argv):
     )
     assert code == 2
     assert err == f"error: --out: no such directory: {out.parent}\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "trajectory", "--builtin", "counterexample",
+            "--x0", "-0.6", "-0.45", "0.4", "0.0", "--step", "0.02", "--max-steps", "5",
+        ],
+        ["sample-pairs", "--n", "10"],
+    ],
+    ids=["csv", "json"],
+)
+def test_out_that_is_a_directory_refused(capsys, tmp_path, argv):
+    code, stdout, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert err == f"error: --out: is a directory: {tmp_path}\n"
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 

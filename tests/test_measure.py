@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from kgbohm import (
@@ -8,6 +9,7 @@ from kgbohm import (
     FourVector,
     Region,
     Selection,
+    classify_batch,
     estimate_spacetime_fraction,
     grid_scan,
     sample_pair_space,
@@ -157,7 +159,28 @@ class TestPairSpaceEstimate:
         assert d["sigma"] == 3.0
         assert "region" not in d
 
-    @pytest.mark.parametrize("kwargs", [dict(n=0, seed=0), dict(n=10, seed=0, sigma=0.0)])
+    @pytest.mark.parametrize("sigma", [1.0, 3.7, 1e-160, 1e300])
+    def test_counts_are_those_of_the_draws_at_sigma(self, sigma):
+        # The reference draws at sigma itself. At these sigmas those draws
+        # are exact multiples of the ones at sigma's mantissa, so leaving
+        # out sigma's power of two moves no count.
+        n = 4096  # one chunk, seeded [seed, 0]
+        pairs = np.random.default_rng([7, 0]).standard_normal((n, 8)) * sigma
+        codes = classify_batch(pairs[:, :4], pairs[:, 4:])[0]
+        want = np.bincount(codes, minlength=len(TALLY_KEYS)).tolist()
+        assert sample_pair_space(n=n, seed=7, sigma=sigma).counts == dict(
+            zip(TALLY_KEYS, want)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=0, seed=0),
+            dict(n=10, seed=0, sigma=0.0),
+            dict(n=10, seed=0, sigma=math.inf),
+            dict(n=10, seed=0, sigma=math.nan),
+        ],
+    )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             sample_pair_space(**kwargs)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from support import random_superposition
 
 import kgbohm.trajectory as trajectory_mod
 from kgbohm import (
@@ -14,6 +16,7 @@ from kgbohm import (
     analyze_point,
     inner,
     integrate,
+    raise_index,
     velocity,
     write_trajectory_csv,
 )
@@ -160,13 +163,85 @@ class TestIntegrate:
         assert all(3.5 <= o <= 4.5 for o in orders), orders
 
 
+# The verdict each termination names, written out independently of the
+# module's own table.
+TERMINATION_VERDICT = {
+    Termination.ENTERED_BOTH_SPACELIKE: Selection.BOTH_SPACELIKE,
+    Termination.ENTERED_ORTHOGONAL_DEGENERATE: Selection.ORTHOGONAL_DEGENERATE,
+    Termination.ENTERED_BOUNDARY: Selection.BOUNDARY,
+    Termination.HIT_NODE: Selection.NODE,
+}
+
+
+def unit_tangent(w_sel):
+    """The unit future-pointing tangent of a selected covector."""
+    u = raise_index(w_sel) * (1.0 / math.sqrt(inner(w_sel, w_sel)))
+    return -u if u.c0 < 0.0 else u
+
+
+class TestLeanStage:
+    """integrate's stages skip the full point analysis; every accepted point
+    must still carry exactly what analyze_point gives at its event."""
+
+    @pytest.mark.parametrize(
+        "field, tols, seed, stop",
+        [
+            ("cx", Tolerances(), 31, Termination.ENTERED_BOTH_SPACELIKE),
+            ("packet", Tolerances(), 32, Termination.ENTERED_BOTH_SPACELIKE),
+            ("cx", Tolerances(node=0.3), 33, Termination.HIT_NODE),
+        ],
+        ids=["counterexample", "24-mode-packet", "widened-node"],
+    )
+    def test_points_and_stops_match_analyze_point(self, request, field, tols, seed, stop):
+        if field == "packet":
+            w = random_superposition(np.random.default_rng(5), n_modes=24)
+        else:
+            w = request.getfixturevalue(field)
+        cfg = TrajectoryConfig(step=0.02, max_steps=60, tols=tols)
+        starts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 4)).tolist()
+        seen = set()
+        for x0 in map(FourVector._make, starts):
+            try:
+                res = integrate(w, x0, cfg)
+            except IllDefinedVelocityError as exc:
+                assert analyze_point(w, x0, tols).selection is exc.selection
+                seen.add("start")
+                continue
+            seen.add(res.termination)
+            for pt in res.points:
+                a = analyze_point(w, pt.x, tols)
+                assert pt.selection is a.selection
+                want_w = a.w_plus if a.selection is Selection.PLUS_TIMELIKE else a.w_minus
+                assert pt.w == want_w
+                assert pt.u == unit_tangent(want_w)
+                self.assert_polar_split_is_the_ratio(w, pt.x)
+            if res.termination is Termination.MAX_STEPS:
+                assert res.failed_at is None
+            else:
+                a = analyze_point(w, res.failed_at, tols)
+                assert a.selection is TERMINATION_VERDICT[res.termination]
+        assert {Termination.MAX_STEPS, stop} <= seen, seen
+
+    @staticmethod
+    def assert_polar_split_is_the_ratio(w, x):
+        pol = w.polar_gradients(x)
+        psi = w.evaluate(x)
+        ratios = [g / psi for g in w.gradient(x)]
+        assert pol.psi == psi
+        assert pol.p_mu == FourVector(*(r.real for r in ratios))
+        assert pol.s_mu == FourVector(*(r.imag for r in ratios))
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize(
+        "step",
+        [0.0, -0.1, float("nan"), math.inf, pytest.param(10**400, id="huge-int"), True],
+    )
     def test_bad_step(self, step):
         with pytest.raises(ValueError):
             TrajectoryConfig(step=step, max_steps=10)
 
-    @pytest.mark.parametrize("max_steps", [0, -3, 2.5])
+    @pytest.mark.parametrize("max_steps", [0, -3, 2.5, True])
     def test_bad_max_steps(self, max_steps):
         with pytest.raises(ValueError):
             TrajectoryConfig(step=0.1, max_steps=max_steps)
