@@ -16,7 +16,8 @@ is ill-defined here" answers; 1 means it could not be computed (node at the
 requested event, ill-defined trajectory start, verification mismatch, both
 candidates classified timelike);
 2 means bad input (usage, config validation or reading, out-of-range flag,
-an --out whose directory does not exist or that names a directory).
+an --out whose directory does not exist or that names a directory, or
+whose <out>.manifest.json sidecar path names a directory).
 """
 
 from __future__ import annotations
@@ -132,10 +133,18 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _sidecar_path(args: argparse.Namespace) -> Path | None:
+    """Where a CSV-writing command puts its manifest; None for the JSON
+    commands, which embed theirs."""
+    if args.command not in ("scan", "trajectory"):
+        return None
+    return Path(f"{args.out}.manifest.json")
+
+
 def _write_sidecar_manifest(
     args: argparse.Namespace, tols: Tolerances, parameters: dict
 ) -> None:
-    _write_json(Path(f"{args.out}.manifest.json"), _manifest(args, tols, parameters))
+    _write_json(_sidecar_path(args), _manifest(args, tols, parameters))
 
 
 def _write_estimate(
@@ -234,10 +243,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _write_sidecar_manifest(
         args, tols, {"region": region.to_dict(), "resolution": args.resolution}
     )
-    counts = scan.counts()
-    print(f"wrote {args.out}: {len(scan.cells)} rows")
+    counts, rows = scan.counts(), scan.codes.size
+    print(f"wrote {args.out}: {rows} rows")
     for key in TALLY_KEYS:
-        print(f"  {key}: {counts[key]} ({counts[key] / len(scan.cells):.6f})")
+        print(f"  {key}: {counts[key]} ({counts[key] / rows:.6f})")
     return 0
 
 
@@ -438,6 +447,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise _CliError(f"--out: no such directory: {out.parent}")
             if out.is_dir():
                 raise _CliError(f"--out: is a directory: {out}")
+            sidecar = _sidecar_path(args)
+            if sidecar is not None and sidecar.is_dir():
+                raise _CliError(f"--out: manifest path is a directory: {sidecar}")
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -94,8 +94,15 @@ class Tolerances:
     def __post_init__(self):
         for name in ("causal", "ortho", "node"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise ValueError(f"tolerance {name!r} must be positive, got {v!r}")
+            if not _positive_finite(v):
+                raise ValueError(
+                    f"tolerance {name!r} must be a positive finite number, got {v!r}"
+                )
+
+
+def _positive_finite(v) -> bool:
+    """Whether v is an int or float, not a bool, in (0, largest float]."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and 0 < v <= _HUGE
 
 
 DEFAULT_TOLERANCES = Tolerances()

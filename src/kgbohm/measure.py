@@ -22,6 +22,7 @@ classify_pair would raise for that event.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,22 +127,46 @@ class ScanCell(NamedTuple):
     w_minus_sq: float
 
 
-@dataclass
+@dataclass(eq=False)
 class ScanResult:
+    """Verdicts of a grid scan, one row per lattice point in row-major order.
+
+    The lattice is the product of the four axes (x0 slowest). codes index
+    TALLY_KEYS; theta, w_plus_sq and w_minus_sq are NaN on node and
+    degenerate cells. Equality is identity: array fields have no single
+    truth value to compare by.
+    """
+
     region: Region
     resolution: tuple[int, int, int, int]
-    cells: list[ScanCell]
+    axes: tuple[tuple[float, ...], ...]
+    codes: np.ndarray
+    theta: np.ndarray
+    w_plus_sq: np.ndarray
+    w_minus_sq: np.ndarray
+
+    @property
+    def cells(self) -> list[ScanCell]:
+        """The rows as ScanCells, built on each access."""
+        return [
+            ScanCell(*xs, TALLY_KEYS[c], *numerics)
+            for xs, c, *numerics in zip(
+                itertools.product(*self.axes),
+                self.codes.tolist(),
+                self.theta.tolist(),
+                self.w_plus_sq.tolist(),
+                self.w_minus_sq.tolist(),
+            )
+        ]
 
     def counts(self) -> dict[str, int]:
-        out = {k: 0 for k in TALLY_KEYS}
-        for cell in self.cells:
-            out[cell.selection] += 1
-        return out
+        tally = np.bincount(self.codes, minlength=len(TALLY_KEYS))
+        return dict(zip(TALLY_KEYS, tally.tolist()))
 
     def fraction(self, key: str) -> float:
         if key not in TALLY_KEYS:
             raise KeyError(f"unknown verdict bucket {key!r}")
-        return self.counts()[key] / len(self.cells)
+        return self.counts()[key] / self.codes.size
 
 
 def wilson_interval(k: int, n: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -253,12 +278,14 @@ def sample_pair_space(
     return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, sigma=sigma)
 
 
-def _axis_coords(lo: float, hi: float, res: int) -> list[float]:
+def _axis_coords(lo: float, hi: float, res: int) -> tuple[float, ...]:
     # Half-open uniform lattice lo + i*(hi-lo)/res, i = 0..res-1. Doubling
     # the resolution keeps every existing lattice point, and an even
-    # resolution over a symmetric box contains the exact center.
+    # resolution over a symmetric box contains the exact center. Python
+    # floats, so repr writes them as the CSV needs.
+    lo, hi = float(lo), float(hi)
     step = (hi - lo) / res
-    return [lo + i * step for i in range(res)]
+    return tuple(lo + i * step for i in range(res))
 
 
 def grid_scan(
@@ -276,18 +303,11 @@ def grid_scan(
     res = tuple(int(r) for r in resolution)
     if len(res) != 4 or any(r < 1 for r in res):
         raise ValueError(f"resolution must be 4 integers >= 1, got {resolution!r}")
-    axes = [
+    axes = tuple(
         _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
-    ]
+    )
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
-    cells = [
-        ScanCell(*xs, TALLY_KEYS[c], *numerics)
-        for xs, c, *numerics in zip(
-            x.tolist(), codes.tolist(), th.tolist(), wp_sq.tolist(), wm_sq.tolist()
-        )
-    ]
-    return ScanResult(region=region, resolution=res, cells=cells)
+    return ScanResult(region, res, axes, *_verdicts(w, x, tols))
 
 
 def write_scan_csv(scan: ScanResult, path: str | Path) -> None:
@@ -295,10 +315,19 @@ def write_scan_csv(scan: ScanResult, path: str | Path) -> None:
 
     Header: x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq
     """
+    # Each coordinate is written as repr of its axis value, formatted once
+    # per axis value rather than once per cell.
+    coords = itertools.product(*([f"{v!r}," for v in axis] for axis in scan.axes))
+    rows = zip(
+        coords,
+        scan.codes.tolist(),
+        scan.theta.tolist(),
+        scan.w_plus_sq.tolist(),
+        scan.w_minus_sq.tolist(),
+    )
     with open(path, "w") as fh:
         fh.write("x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq\n")
-        for c in scan.cells:
-            fh.write(
-                f"{c.x0!r},{c.x1!r},{c.x2!r},{c.x3!r},{c.selection},"
-                f"{c.theta!r},{c.w_plus_sq!r},{c.w_minus_sq!r}\n"
-            )
+        fh.writelines(
+            f"{a}{b}{c}{d}{TALLY_KEYS[k]},{t!r},{wp!r},{wm!r}\n"
+            for (a, b, c, d), k, t, wp, wm in rows
+        )

@@ -31,9 +31,10 @@ from .construction import (
     Selection,
     Tolerances,
     _candidates,
+    _positive_finite,
 )
 from .errors import FieldOverflowError, IllDefinedVelocityError, NodeError
-from .minkowski import _HUGE, FourVector, inner, raise_index
+from .minkowski import FourVector, inner, raise_index
 from .wavefield import Superposition
 
 __all__ = [
@@ -78,9 +79,7 @@ class TrajectoryConfig:
     tols: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        if isinstance(self.step, bool) or not (
-            isinstance(self.step, (int, float)) and 0 < self.step <= _HUGE
-        ):
+        if not _positive_finite(self.step):
             raise ValueError(f"step must be a positive finite number, got {self.step!r}")
         if isinstance(self.max_steps, bool) or not (
             isinstance(self.max_steps, int) and self.max_steps >= 1

@@ -518,6 +518,31 @@ def test_out_that_is_a_directory_refused(capsys, tmp_path, argv):
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [
+            "trajectory", "--builtin", "counterexample",
+            "--x0", "-0.6", "-0.45", "0.4", "0.0", "--step", "0.02", "--max-steps", "5",
+        ],
+        [
+            "scan", "--builtin", "counterexample", *TestScan.BOX,
+            "--resolution", "2", "2", "2", "2",
+        ],
+    ],
+    ids=["trajectory", "scan"],
+)
+def test_manifest_path_that_is_a_directory_refused(capsys, tmp_path, argv):
+    out = tmp_path / "t.csv"
+    sidecar = tmp_path / "t.csv.manifest.json"
+    sidecar.mkdir()
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err == f"error: --out: manifest path is a directory: {sidecar}\n"
+    assert stdout == "" and list(tmp_path.iterdir()) == [sidecar]
+    assert list(sidecar.iterdir()) == []
+
+
 class TestParser:
     def test_flag_sets_are_pinned(self):
         common = {"-h", "--help", "--class-tol", "--ortho-tol", "--node-tol"}

@@ -285,7 +285,18 @@ class TestTolerances:
         t = Tolerances()
         assert t.causal == 1e-9 and t.ortho == 1e-9 and t.node == 1e-12
 
-    @pytest.mark.parametrize("bad", [dict(causal=0.0), dict(ortho=-1e-9), dict(node=0.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(causal=0.0), dict(ortho=-1e-9), dict(node=0.0)]
+        # a bool, an infinity or an int beyond the float range would give
+        # verdicts, not an error
+        + [
+            {field: value}
+            for field in ("causal", "ortho", "node")
+            for value in (True, math.inf, math.nan, 10**400, 0, -1e-9)
+        ],
+    )
     def test_positive_required(self, bad):
-        with pytest.raises(ValueError):
+        (field,) = bad
+        with pytest.raises(ValueError, match=f"'{field}'"):
             Tolerances(**bad)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from kgbohm import (
+    DEFAULT_TOLERANCES,
     TALLY_KEYS,
     FourVector,
     Region,
+    ScanCell,
     Selection,
+    Tolerances,
     classify_batch,
     estimate_spacetime_fraction,
     grid_scan,
@@ -16,6 +19,8 @@ from kgbohm import (
     wilson_interval,
     write_scan_csv,
 )
+from kgbohm.measure import _axis_coords, _verdicts
+from support import random_superposition
 
 BOX = Region(FourVector(-0.5, -0.5, -0.5, -0.5), FourVector(0.5, 0.5, 0.5, 0.5))
 
@@ -261,3 +266,89 @@ class TestGridScan:
         ]
         assert row[4] == scan.cells[0].selection
         assert float(row[5]) == scan.cells[0].theta
+
+
+def oracle_cells(w, region, resolution, tols):
+    """The scan's cells built one by one from the meshgrid and _verdicts."""
+    axes = [_axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
+    return [
+        ScanCell(*xs, TALLY_KEYS[c], *numerics)
+        for xs, c, *numerics in zip(
+            x.tolist(), codes.tolist(), th.tolist(), wp_sq.tolist(), wm_sq.tolist()
+        )
+    ]
+
+
+def oracle_csv(cells):
+    """The CSV as a per-cell f-string loop writes it."""
+    rows = [
+        f"{c.x0!r},{c.x1!r},{c.x2!r},{c.x3!r},{c.selection},"
+        f"{c.theta!r},{c.w_plus_sq!r},{c.w_minus_sq!r}\n"
+        for c in cells
+    ]
+    return "x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq\n" + "".join(rows)
+
+
+WIDE = Tolerances(causal=0.3, ortho=0.2, node=0.3)
+NEG_ZERO_BOX = Region(FourVector(-0.0, -0.0, -0.0, -0.0), FourVector(1.0, 0.3, 2.5, 1e-3))
+# numpy scalar corners, whose repr is not a float's
+NUMPY_BOX = Region(FourVector(*np.full(4, -0.5)), FourVector(*np.full(4, 0.5)))
+
+
+class TestScanWriter:
+    @pytest.mark.parametrize(
+        "field,region,resolution,tols",
+        [
+            ("cx", BOX, (1, 1, 1, 1), DEFAULT_TOLERANCES),
+            ("cx", BOX, (1, 3, 1, 2), DEFAULT_TOLERANCES),
+            ("cx", NEG_ZERO_BOX, (3, 2, 4, 2), DEFAULT_TOLERANCES),
+            ("cx", BOX, (5, 4, 3, 2), WIDE),
+            ("cx", NUMPY_BOX, (2, 3, 2, 1), DEFAULT_TOLERANCES),
+            ("null_field", BOX, (2, 1, 3, 1), DEFAULT_TOLERANCES),
+            ("degenerate_field", NEG_ZERO_BOX, (2, 3, 1, 2), DEFAULT_TOLERANCES),
+            ("degenerate_field", BOX, (3, 3, 3, 3), WIDE),
+            ("packet", BOX, (6, 6, 6, 6), DEFAULT_TOLERANCES),
+            ("packet", NEG_ZERO_BOX, (7, 1, 1, 5), WIDE),
+        ],
+    )
+    def test_matches_the_per_cell_writer(
+        self, request, tmp_path, field, region, resolution, tols
+    ):
+        if field == "packet":
+            w = random_superposition(np.random.default_rng([8, 24]), n_modes=24)
+        else:
+            w = request.getfixturevalue(field)
+        want = oracle_cells(w, region, resolution, tols)
+        scan = grid_scan(w, region, resolution, tols)
+        # repr, since NaN numerics never compare equal
+        assert list(map(repr, scan.cells)) == list(map(repr, want))
+        out = tmp_path / "scan.csv"
+        write_scan_csv(scan, out)
+        assert out.read_bytes() == oracle_csv(want).encode()
+        counts = scan.counts()
+        assert sum(counts.values()) == len(want)
+        assert counts == {k: sum(c.selection == k for c in want) for k in TALLY_KEYS}
+
+
+def test_two_modes_never_give_both_spacelike():
+    # Two modes put p and s in span(k1, k2), which holds the timelike k1, so
+    # one candidate is timelike wherever psi != 0. Three modes on the same
+    # boxes do give both_spacelike, so the zero is not a blind spot of the
+    # sampling.
+    rng = np.random.default_rng([2, 2])
+    three_mode_hits = 0
+    for _ in range(20):
+        two = random_superposition(rng, n_modes=2)
+        three = random_superposition(rng, n_modes=3)
+        lo = rng.uniform(-3.0, 3.0, size=4)
+        hi = lo + rng.uniform(0.5, 3.0, size=4)
+        box = Region(FourVector(*lo.tolist()), FourVector(*hi.tolist()))
+        assert estimate_spacetime_fraction(two, box, 4096, 0).counts["both_spacelike"] == 0
+        assert grid_scan(two, box, (5, 5, 5, 5)).counts()["both_spacelike"] == 0
+        three_mode_hits += (
+            estimate_spacetime_fraction(three, box, 4096, 0).counts["both_spacelike"] > 0
+            and grid_scan(three, box, (5, 5, 5, 5)).counts()["both_spacelike"] > 0
+        )
+    assert three_mode_hits >= 15
