@@ -12,6 +12,9 @@ orthogonal, so they are never both timelike -- but they can be both
 spacelike, and then the selection rule has no answer. This package
 classifies events by that verdict, integrates the trajectories where they
 exist, and estimates the measure of the region where they do not.
+
+numpy is imported inside the functions that take or return arrays (the
+batch path), so a process that stays on the scalar path never loads it.
 """
 
 from . import construction, errors, measure, minkowski, trajectory, wavefield

@@ -173,7 +173,10 @@ def _region(args: argparse.Namespace) -> Region:
 def cmd_verify(args: argparse.Namespace) -> int:
     m = args.mass
     tols = _tolerances(args)
-    w = counterexample(m)
+    try:
+        w = counterexample(m)
+    except ValueError as exc:  # sqrt(27) m overflows, or rounds off shell
+        raise _CliError(f"--mass: {exc}") from None
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
     a = analyze_point(w, origin, tols)
 

@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     BothTimelikeError,
     FieldOverflowError,
@@ -273,6 +271,8 @@ def classify_batch(
     math's in the last bit. On the first row, in row order, where
     classify_pair raises, raises the same error.
     """
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4 or s.shape != p.shape:

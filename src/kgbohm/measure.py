@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from .construction import DEFAULT_TOLERANCES, Selection, Tolerances, classify_batch
 from .minkowski import FourVector
 from .wavefield import Superposition
@@ -61,7 +59,8 @@ _CHUNK = 4096
 
 @dataclass(frozen=True)
 class Region:
-    """Axis-aligned 4-box of events, lo strictly below hi componentwise."""
+    """Axis-aligned 4-box of events, lo strictly below hi componentwise,
+    each width hi - lo a finite float."""
 
     lo: FourVector
     hi: FourVector
@@ -73,6 +72,10 @@ class Region:
             if not a < b:
                 raise ValueError(
                     f"region axis {i}: lo = {a!r} must be strictly below hi = {b!r}"
+                )
+            if not math.isfinite(b - a):
+                raise ValueError(
+                    f"region axis {i}: width hi - lo overflows (lo = {a!r}, hi = {b!r})"
                 )
 
     def to_dict(self) -> dict:
@@ -160,6 +163,8 @@ class ScanResult:
         ]
 
     def counts(self) -> dict[str, int]:
+        import numpy as np
+
         tally = np.bincount(self.codes, minlength=len(TALLY_KEYS))
         return dict(zip(TALLY_KEYS, tally.tolist()))
 
@@ -186,6 +191,8 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z95) -> tuple[float, float
 
 def _chunk_rngs(n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
     """(rng, sample count) per fixed-size chunk, seeded from (seed, index)."""
+    import numpy as np
+
     for idx, start in enumerate(range(0, n, _CHUNK)):
         yield np.random.default_rng([seed, idx]), min(_CHUNK, n - start)
 
@@ -236,6 +243,8 @@ def estimate_spacetime_fraction(
     Degenerate outcomes (node, orthogonal degenerate) are tallied in their
     own buckets. Identical (seed, n) reproduce identical tallies.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     lo = np.asarray(region.lo, dtype=float)
@@ -261,6 +270,8 @@ def sample_pair_space(
     of two apart; sigma is still recorded as the reference measure. The node bucket stays zero here (there is no
     wave function to vanish).
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (sigma > 0 and math.isfinite(sigma)):
@@ -300,6 +311,8 @@ def grid_scan(
     the verdict, theta, and the two candidate quadratic forms; node and
     degenerate cells carry NaN numerics.
     """
+    import numpy as np
+
     res = tuple(int(r) for r in resolution)
     if len(res) != 4 or any(r < 1 for r in res):
         raise ValueError(f"resolution must be 4 integers >= 1, got {resolution!r}")

@@ -19,8 +19,6 @@ import sys
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 __all__ = [
     "DEFAULT_CLASS_TOL",
     "CausalClass",
@@ -132,11 +130,17 @@ def _rescaled(*vs):
     """The FourVectors or (4, N) component arrays vs, as the same kind, each
     column times the power of two that brings its largest |component| across
     vs into [0.5, 1); an all-zero or non-finite column comes back unchanged."""
+    if isinstance(vs[0], FourVector):  # the scalar path stays in Python floats
+        cs = [c for v in vs for c in v]
+        # max skips a NaN that does not come first, so every component is
+        # tested for finiteness, as numpy's max propagates the NaN
+        e = -math.frexp(max(map(abs, cs)))[1] if all(map(math.isfinite, cs)) else 0
+        return tuple(FourVector(*(math.ldexp(c, e) for c in v)) for v in vs)
+    import numpy as np
+
     arrays = [np.asarray(v, dtype=float) for v in vs]
     m = np.max([np.abs(a).max(axis=0) for a in arrays], axis=0)
     e = np.where(np.isfinite(m), -np.frexp(m)[1], 0)
-    if isinstance(vs[0], FourVector):  # the scalar path stays in Python floats
-        return tuple(FourVector(*np.ldexp(a, e).tolist()) for a in arrays)
     return tuple(np.ldexp(a, e) for a in arrays)
 
 

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import NodeError
 from .minkowski import FourVector, _rescaled, inner
 
@@ -193,6 +191,8 @@ class Superposition:
         so every value equals the scalar path's wherever numpy's sin and cos
         equal math's.
         """
+        import numpy as np
+
         if node_tol <= 0:
             raise ValueError("node_tol must be positive")
         x = np.asarray(x, dtype=float)

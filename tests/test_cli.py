@@ -68,6 +68,30 @@ class TestVerify:
         assert code == 2
         assert "--mass" in err
 
+    @pytest.mark.parametrize(
+        "mass, reason",
+        [
+            # sqrt(27) m overflows
+            ("1.7976931348623157e308", "non-finite"),
+            ("6e307", "non-finite"),
+            # subnormal sqrt(27) m and sqrt(26) m round off the mass shell
+            ("5e-324", "off the mass shell"),
+            ("1e-320", "off the mass shell"),
+        ],
+    )
+    def test_mass_at_the_float_extremes_refused(self, capsys, mass, reason):
+        code, out, err = run(capsys, "verify", "--mass", mass)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --mass: ") and reason in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("mass", ["1e-310", "3e307"])
+    def test_mass_near_the_float_extremes_passes(self, capsys, mass):
+        code, out, _ = run(capsys, "verify", "--mass", mass)
+        assert code == 0
+        assert "verify: PASS" in out
+
 
 class TestClassify:
     def test_origin_of_the_builtin_example(self, capsys):
@@ -485,6 +509,28 @@ class TestSamplePairs:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["measure", "--n", "10"],
+        ["scan", "--resolution", "2", "1", "1", "1"],
+    ],
+    ids=["measure", "scan"],
+)
+def test_region_whose_width_overflows_refused(capsys, tmp_path, argv):
+    code, stdout, err = run(
+        capsys, *argv[:1], "--builtin", "counterexample",
+        "--lo", "-1e308", "0", "0", "0", "--hi", "1e308", "1", "1", "1",
+        *argv[1:], "--out", str(tmp_path / "result"),
+    )
+    assert code == 2
+    assert err == (
+        "error: --lo/--hi: region axis 0: width hi - lo overflows "
+        "(lo = -1e+308, hi = 1e+308)\n"
+    )
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["measure", *TestMeasure.BOX, "--n", "10"],
         ["scan", *TestScan.BOX, "--resolution", "2", "2", "2", "2"],
     ],
@@ -581,6 +627,38 @@ class TestParser:
         assert "argument --n:" in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "m.json").exists()
+
+    def test_scalar_commands_start_without_numpy(self, tmp_path):
+        # numpy is loaded by the batch path only; measure shows the check
+        # can see it load
+        script = """
+import sys
+import kgbohm
+from kgbohm.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+    return "numpy" in sys.modules
+
+out = sys.argv[1]
+print(run("verify"))
+print(run("classify", "--builtin", "counterexample", "--x", "0", "0", "0", "0"))
+print(run("trajectory", "--builtin", "counterexample",
+          "--x0", "-0.6", "-0.45", "0.4", "0", "--step", "0.02",
+          "--max-steps", "3", "--out", out + "/t.csv"))
+print(run("measure", "--builtin", "counterexample",
+          "--lo", "0", "0", "0", "0", "--hi", "1", "1", "1", "1",
+          "--n", "10", "--out", out + "/m.json"))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
+        assert loaded == ["False", "False", "False", "True"]
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

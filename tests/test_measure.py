@@ -79,6 +79,15 @@ class TestRegion:
                 FourVector(math.inf, 1.0, 1.0, 1.0),
             )
 
+    def test_width_that_overflows_rejected(self):
+        with pytest.raises(ValueError, match="axis 3: width hi - lo overflows"):
+            Region(
+                FourVector(0.0, 0.0, 0.0, -1e308),
+                FourVector(1.0, 1.0, 1.0, 1e308),
+            )
+        # a width just below the float maximum still makes a box
+        Region(FourVector(-1e308, 0.0, 0.0, 0.0), FourVector(7e307, 1.0, 1.0, 1.0))
+
 
 def test_tally_keys_are_the_selection_verdicts():
     # the order is the key order of every tally and printed report

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -14,6 +16,7 @@ from kgbohm import (
     plane_class,
     raise_index,
 )
+from kgbohm.minkowski import _rescaled
 
 finite_components = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -115,6 +118,38 @@ def test_causal_class_invariant_under_exact_scaling(v, e):
 )
 def test_causal_class_survives_under_and_overflowing_squares(v, verdict):
     assert causal_class(v) is verdict
+
+
+# Every float kind: the whole exponent range, signed zeros, subnormals,
+# values near the float maximum, infinities and NaN.
+any_components = st.one_of(
+    st.floats(),
+    st.builds(
+        math.ldexp,
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        st.integers(min_value=-1080, max_value=1024),
+    ),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, sys.float_info.max,
+        -sys.float_info.max, math.inf, -math.inf, math.nan,
+    ]),
+)
+any_vectors = st.builds(FourVector, *([any_components] * 4))
+
+
+@given(st.lists(any_vectors, min_size=1, max_size=3))
+# Python's max skips a NaN that does not come first; numpy's propagates it
+@example([FourVector(1.0, math.nan, 0.0, 0.0)])
+@example([FourVector(3.0, 0.0, 0.0, 0.0), FourVector(0.0, 0.0, 0.0, math.nan)])
+@example([FourVector(-0.0, 5e-324, 0.0, -0.0)])
+def test_rescaled_scalar_branch_matches_the_array_branch(vs):
+    scalar = _rescaled(*vs)
+    arrays = _rescaled(*(np.array(v, dtype=float)[:, None] for v in vs))
+    assert all(type(v) is FourVector for v in scalar)
+    assert all(type(c) is float for v in scalar for c in v)
+    assert [[c.hex() for c in v] for v in scalar] == [
+        [float(c).hex() for c in a[:, 0]] for a in arrays
+    ]
 
 
 @given(vectors, vectors)
