@@ -16,13 +16,15 @@ is ill-defined here" answers; 1 means it could not be computed (node at the
 requested event, ill-defined trajectory start, verification mismatch, both
 candidates classified timelike);
 2 means bad input (usage, config validation or reading, out-of-range flag,
-an --out whose directory does not exist or that names a directory, or
-whose <out>.manifest.json sidecar path names a directory).
+an event or box corner at which some mode's phase k.x overflows, an --out
+whose directory does not exist or that names a directory, or whose
+<out>.manifest.json sidecar path names a directory).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -163,11 +165,27 @@ def _fmt_vec(v: FourVector) -> str:
     return f"({v.c0!r}, {v.c1!r}, {v.c2!r}, {v.c3!r})"
 
 
-def _region(args: argparse.Namespace) -> Region:
+def _region(args: argparse.Namespace, w: Superposition) -> Region:
     try:
-        return Region(FourVector(*args.lo), FourVector(*args.hi))
+        region = Region(FourVector(*args.lo), FourVector(*args.hi))
     except ValueError as exc:
         raise _CliError(f"--lo/--hi: {exc}") from None
+    # The phase is linear in x, so the box's corners bound it.
+    _refuse_phase_overflow(w, itertools.product(*zip(region.lo, region.hi)), "--lo/--hi")
+    return region
+
+
+def _refuse_phase_overflow(w: Superposition, events, flag: str) -> None:
+    """Refuse events at which some mode's phase k.x is not finite: cos and
+    sin of it are undefined, so nothing there can be computed."""
+    for x in events:
+        for i, mode in enumerate(w.modes):
+            k = mode.k
+            if not math.isfinite(k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]):
+                raise _CliError(
+                    f"{flag}: phase k.x of mode {i} is not finite at "
+                    f"{_fmt_vec(FourVector(*x))}"
+                )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -225,6 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
+    _refuse_phase_overflow(w, [args.x], "--x")
     a = analyze_point(w, FourVector(*args.x), tols)
     if a.selection is Selection.NODE:
         print(
@@ -240,7 +259,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_scan(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    region = _region(args)
+    region = _region(args, w)
     scan = grid_scan(w, region, tuple(args.resolution), tols)
     write_scan_csv(scan, args.out)
     _write_sidecar_manifest(
@@ -256,6 +275,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_trajectory(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
+    _refuse_phase_overflow(w, [args.x0], "--x0")
     cfg = TrajectoryConfig(step=args.step, max_steps=args.max_steps, tols=tols)
     try:
         result = integrate(w, FourVector(*args.x0), cfg)
@@ -276,7 +296,7 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    region = _region(args)
+    region = _region(args, w)
     est = estimate_spacetime_fraction(w, region, args.n, args.seed, tols)
     _write_estimate(
         args, tols, est, {"region": region.to_dict(), "n": args.n, "seed": args.seed}

@@ -19,8 +19,10 @@ boundary, the excluded p.s ~ 0 case where theta itself is undefined, and
 the nodal set where the polar split itself is undefined.
 
 No fallback velocity is invented for the broken cases; exposing them is
-the point. Every event gets a verdict: analyze_point and classify_pair
-return the node and p.s ~ 0 cases as values, never as exceptions.
+the point. Every event gets a verdict, and the node and p.s ~ 0 cases are
+values all the way down, never exceptions: polar_gradients gives no p and
+s on the nodal set, theta gives None where p.s ~ 0, and analyze_point and
+classify_pair turn those into the NODE and ORTHOGONAL_DEGENERATE verdicts.
 
 classify_batch is the same verdict on N pairs at once, for the bulk paths
 (measure, sample-pairs, scan). It applies the scalar path's thresholds to
@@ -39,13 +41,9 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-from .errors import (
-    BothTimelikeError,
-    FieldOverflowError,
-    NodeError,
-    OrthogonalDegenerateError,
-)
+from .errors import BothTimelikeError, FieldOverflowError
 from .minkowski import (
+    DEFAULT_CLASS_TOL,
     CausalClass,
     FourVector,
     PlaneClass,
@@ -57,7 +55,7 @@ from .minkowski import (
     _TINY,
     _rescaled,
 )
-from .wavefield import Superposition
+from .wavefield import DEFAULT_NODE_TOL, Superposition
 
 __all__ = [
     "DEFAULT_ORTHO_TOL",
@@ -85,9 +83,9 @@ class Tolerances:
     node:   nodal threshold on |psi| vs sum of mode amplitude moduli
     """
 
-    causal: float = 1e-9
+    causal: float = DEFAULT_CLASS_TOL
     ortho: float = DEFAULT_ORTHO_TOL
-    node: float = 1e-12
+    node: float = DEFAULT_NODE_TOL
 
     def __post_init__(self):
         for name in ("causal", "ortho", "node"):
@@ -160,18 +158,20 @@ def _plain(v):
     return v
 
 
-def theta(p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL) -> float:
+def theta(
+    p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL
+) -> float | None:
     """Hyperbolic mixing angle, asinh((p.p - s.s) / (2 p.s)).
 
     Evaluated through math.asinh, i.e. the overflow-safe logarithmic form
     sign(u) * ln(|u| + sqrt(u^2 + 1)).
 
-    Raises OrthogonalDegenerateError when |p.s| <= ortho_tol * |p| * |s|
-    (Euclidean norms); in particular the zero covector is always
-    degenerate. Where that threshold is zero, subnormal or infinite (the
-    squares under- or overflowed), everything is computed again on p and s
-    rescaled together by one exact power of two, which moves neither theta
-    nor the test (the error then reports the rescaled p.s and threshold).
+    None where |p.s| <= ortho_tol * |p| * |s| (Euclidean norms), the
+    excluded p.s ~ 0 case where theta is undefined; in particular the zero
+    covector is always degenerate. Where that threshold is zero, subnormal
+    or infinite (the squares under- or overflowed), everything is computed
+    again on p and s rescaled together by one exact power of two, which
+    moves neither theta nor the test.
     """
     if ortho_tol <= 0:
         raise ValueError("ortho_tol must be positive")
@@ -181,7 +181,7 @@ def theta(p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL) ->
         threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
     q = inner(p, s)
     if abs(q) <= threshold:
-        raise OrthogonalDegenerateError(q, threshold)
+        return None
     return math.asinh((inner(p, p) - inner(s, s)) / (2.0 * q))
 
 
@@ -245,9 +245,8 @@ def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
     The one scalar sequence theta -> w_fields -> causal_class x2 -> select,
     shared by classify_pair, analyze_point and the trajectory stages.
     """
-    try:
-        th = theta(p, s, tols.ortho)
-    except OrthogonalDegenerateError:
+    th = theta(p, s, tols.ortho)
+    if th is None:
         return None, None, None, None, None, Selection.ORTHOGONAL_DEGENERATE
     wp, wm = w_fields(p, s, th)
     cp = causal_class(wp, tols.causal)
@@ -347,11 +346,10 @@ def analyze_point(
     ORTHOGONAL_DEGENERATE verdict, with the fields that do not exist there
     left None.
     """
-    try:
-        pol = w.polar_gradients(x, node_tol=tols.node)
-    except NodeError:
+    pol = w.polar_gradients(x, node_tol=tols.node)
+    if pol.p_mu is None:
         return PointAnalysis(
-            x=x, psi=w.evaluate(x), selection=Selection.NODE, gram_consistent=True
+            x=x, psi=pol.psi, selection=Selection.NODE, gram_consistent=True
         )
     plane = plane_class(pol.p_mu, pol.s_mu, tols.causal)
     th, wp, wm, cp, cm, sel = _candidates(pol.p_mu, pol.s_mu, tols)

@@ -10,7 +10,6 @@ if TYPE_CHECKING:
 __all__ = [
     "KgBohmError",
     "NodeError",
-    "OrthogonalDegenerateError",
     "BothTimelikeError",
     "FieldOverflowError",
     "IllDefinedVelocityError",
@@ -24,8 +23,9 @@ class KgBohmError(Exception):
 class NodeError(KgBohmError):
     """Wave function magnitude at or below the nodal threshold.
 
-    The polar decomposition, and everything built on it, is undefined on
-    the nodal set. analyze_point returns this as the NODE verdict.
+    Not raised by the package: polar_gradients reports the nodal set as a
+    value (p_mu and s_mu None) and analyze_point as the NODE verdict. Kept
+    importable for bench/workloads.py, which still names it.
     """
 
     def __init__(self, abs_psi: float, threshold: float):
@@ -34,23 +34,6 @@ class NodeError(KgBohmError):
         super().__init__(
             f"|psi| = {abs_psi:.6e} is at or below the nodal threshold "
             f"{threshold:.6e}; polar decomposition undefined"
-        )
-
-
-class OrthogonalDegenerateError(KgBohmError):
-    """p.s is numerically zero, so the hyperbolic mixing angle is undefined.
-
-    This is the excluded orthogonal case; it is a verdict about the point,
-    not a bug, and analyze_point and classify_pair return it as the
-    ORTHOGONAL_DEGENERATE verdict.
-    """
-
-    def __init__(self, p_dot_s: float, threshold: float):
-        self.p_dot_s = p_dot_s
-        self.threshold = threshold
-        super().__init__(
-            f"|p.s| = {abs(p_dot_s):.6e} is at or below the degeneracy "
-            f"threshold {threshold:.6e}; theta undefined"
         )
 
 

@@ -14,7 +14,10 @@ A stage evaluates only what the velocity needs: the polar split, theta,
 the two candidates, their causal classes and the selection, through the
 same scalar functions as analyze_point, so every verdict and covector is
 analyze_point's bit for bit. The Gram-criterion cross-check is not part
-of a stage: it stays in analyze_point, behind classify and verify.
+of a stage: it stays in analyze_point, behind classify and verify. A
+selected covector whose square under- or overflows is normalized after an
+exact power-of-two rescale, so scaling every mode covector by a power of
+two scales the path by its inverse, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .construction import (
     _candidates,
     _positive_finite,
 )
-from .errors import FieldOverflowError, IllDefinedVelocityError, NodeError
-from .minkowski import FourVector, inner, raise_index
+from .errors import FieldOverflowError, IllDefinedVelocityError
+from .minkowski import _HUGE, _TINY, FourVector, _rescaled, inner, raise_index
 from .wavefield import Superposition
 
 __all__ = [
@@ -111,10 +114,9 @@ def _tangent(
     w: Superposition, x: FourVector, tols: Tolerances
 ) -> tuple[FourVector, FourVector, Selection]:
     """(unit tangent, selected covector, verdict) at x: one RK4 stage."""
-    try:
-        pol = w.polar_gradients(x, node_tol=tols.node)
-    except NodeError:
-        raise IllDefinedVelocityError(Selection.NODE) from None
+    pol = w.polar_gradients(x, node_tol=tols.node)
+    if pol.p_mu is None:
+        raise IllDefinedVelocityError(Selection.NODE)
     _, wp, wm, _, _, sel = _candidates(pol.p_mu, pol.s_mu, tols)
     if sel is Selection.PLUS_TIMELIKE:
         w_sel = wp
@@ -122,8 +124,11 @@ def _tangent(
         w_sel = wm
     else:
         raise IllDefinedVelocityError(sel)
-    norm = math.sqrt(inner(w_sel, w_sel))
-    u = raise_index(w_sel) * (1.0 / norm)
+    v, q = w_sel, inner(w_sel, w_sel)
+    if not _TINY <= q <= _HUGE:  # the square under- or overflowed
+        (v,) = _rescaled(w_sel)
+        q = inner(v, v)
+    u = raise_index(v) * (1.0 / math.sqrt(q))
     if u.c0 < 0.0:
         u = -u
     return u, w_sel, sel

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import NodeError
 from .minkowski import FourVector, _rescaled, inner
 
 __all__ = [
@@ -51,12 +50,12 @@ class PlaneWaveMode:
 class PolarGradients(NamedTuple):
     """psi and its log-gradient split at one point, p_mu + i*s_mu = grad(psi)/psi.
 
-    Only constructed off the nodal set.
+    On the nodal set the split is undefined and p_mu and s_mu are None.
     """
 
     psi: complex
-    p_mu: FourVector
-    s_mu: FourVector
+    p_mu: FourVector | None
+    s_mu: FourVector | None
 
 
 def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
@@ -147,9 +146,10 @@ class Superposition:
     ) -> PolarGradients:
         """Split grad(psi)/psi into real and imaginary covectors at x.
 
-        Raises NodeError when |psi| <= node_tol * sum_i |c_i|; the
-        threshold is relative to the maximum attainable |psi|, so nodal
-        detection is scale-free in the amplitudes.
+        Where |psi| <= node_tol * sum_i |c_i| (the nodal set) p_mu and s_mu
+        are None, as the batch kernel's node mask says; the threshold is
+        relative to the maximum attainable |psi|, so nodal detection is
+        scale-free in the amplitudes. psi is evaluate's, bit for bit.
         """
         if node_tol <= 0:
             raise ValueError("node_tol must be positive")
@@ -166,9 +166,8 @@ class Superposition:
             g1 += f * k.c1
             g2 += f * k.c2
             g3 += f * k.c3
-        threshold = node_tol * self.amp_sum
-        if abs(psi) <= threshold:
-            raise NodeError(abs(psi), threshold)
+        if abs(psi) <= node_tol * self.amp_sum:
+            return PolarGradients(psi, None, None)
         r0 = g0 / psi
         r1 = g1 / psi
         r2 = g2 / psi

@@ -17,7 +17,6 @@ import pytest
 from kgbohm import (
     BothTimelikeError,
     FourVector,
-    OrthogonalDegenerateError,
     PlaneClass,
     Region,
     Selection,
@@ -118,9 +117,8 @@ def pair_bank():
     for row in rows:
         p = FourVector(row[0], row[1], row[2], row[3])
         s = FourVector(row[4], row[5], row[6], row[7])
-        try:
-            th = theta(p, s)
-        except OrthogonalDegenerateError:
+        th = theta(p, s)
+        if th is None:
             continue
         wp, wm = w_fields(p, s, th)
         try:

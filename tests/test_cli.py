@@ -528,6 +528,38 @@ def test_region_whose_width_overflows_refused(capsys, tmp_path, argv):
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+BOX_AT_THE_FLOAT_MAXIMUM = ("--lo", "0", "0", "0", "0", "--hi", "1e308", "1", "1", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["classify", "--x", "1e308", "0", "0", "0"], "--x"),
+        (
+            ["trajectory", "--x0", "1e308", "0", "0", "0", "--step", "0.01",
+             "--max-steps", "3"],
+            "--x0",
+        ),
+        (["scan", *BOX_AT_THE_FLOAT_MAXIMUM, "--resolution", "2", "1", "1", "1"],
+         "--lo/--hi"),
+        (["measure", *BOX_AT_THE_FLOAT_MAXIMUM, "--n", "10"], "--lo/--hi"),
+    ],
+    ids=["classify", "trajectory", "scan", "measure"],
+)
+def test_event_whose_phase_overflows_refused(capsys, tmp_path, argv, flag):
+    # sqrt(27) * 1e308 overflows, so mode 1's phase k.x is infinite there
+    out = [] if argv[0] == "classify" else ["--out", str(tmp_path / "result")]
+    code, stdout, err = run(
+        capsys, argv[0], "--builtin", "counterexample", *argv[1:], *out
+    )
+    assert code == 2
+    assert err == (
+        f"error: {flag}: phase k.x of mode 1 is not finite at "
+        "(1e+308, 0.0, 0.0, 0.0)\n"
+    )
+    assert stdout == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

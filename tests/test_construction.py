@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgbohm import (
+    DEFAULT_CLASS_TOL,
+    DEFAULT_NODE_TOL,
+    DEFAULT_ORTHO_TOL,
     BothTimelikeError,
     CausalClass,
     FieldOverflowError,
     FourVector,
-    OrthogonalDegenerateError,
     PlaneClass,
     PlaneWaveMode,
     Selection,
@@ -42,6 +44,13 @@ EXP_THETA = 0.31256661916805867
 W_PLUS = (0.0, -0.5572976485910217, -0.6578678172772985, 0.0)
 W_MINUS = (0.0, -7.94886061248722, 6.7336951466189, 0.0)
 
+# Every finite float, plus small integers so exactly orthogonal pairs and
+# zero covectors come up often.
+any_component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0]),
+)
+
 
 class TestTheta:
     def test_frozen_origin_value(self, cx):
@@ -54,26 +63,36 @@ class TestTheta:
             2.5575931773818676, rel=1e-12
         )
 
-    def test_orthogonal_pair_raises(self):
+    def test_orthogonal_pair_has_no_theta(self):
         p = FourVector(0.0, 1.0, 0.0, 0.0)
         s = FourVector(1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(OrthogonalDegenerateError):
-            theta(p, s)
+        assert theta(p, s) is None
 
-    def test_zero_p_raises(self):
-        with pytest.raises(OrthogonalDegenerateError):
-            theta(ORIGIN, FourVector(1.0, 0.0, 0.0, 0.0))
+    def test_zero_p_has_no_theta(self):
+        assert theta(ORIGIN, FourVector(1.0, 0.0, 0.0, 0.0)) is None
 
     def test_threshold_is_relative(self):
         p = FourVector(0.0, 1.0, 0.0, 0.0)
         s_ok = FourVector(0.0, 1e-8, 1.0, 0.0)  # cosine ~ 1e-8, above the cut
         assert math.isfinite(theta(p, s_ok))
         s_bad = FourVector(0.0, 1e-10, 1.0, 0.0)  # cosine ~ 1e-10, below it
-        with pytest.raises(OrthogonalDegenerateError):
-            theta(p, s_bad)
+        assert theta(p, s_bad) is None
         # pure rescaling cannot rescue a nearly-orthogonal pair
-        with pytest.raises(OrthogonalDegenerateError):
-            theta(p * 1e8, s_bad * 1e-8)
+        assert theta(p * 1e8, s_bad * 1e-8) is None
+
+    @given(
+        p=st.builds(FourVector, *[any_component] * 4),
+        s=st.builds(FourVector, *[any_component] * 4),
+        ortho=st.sampled_from([1e-9, 1e-6, 1e-2]),
+    )
+    def test_none_exactly_where_the_verdict_is_orthogonal_degenerate(self, p, s, ortho):
+        th = theta(p, s, ortho)
+        try:
+            sel = classify_pair(p, s, Tolerances(ortho=ortho))
+        except (BothTimelikeError, FieldOverflowError):
+            assert th is not None
+            return
+        assert (th is None) == (sel is Selection.ORTHOGONAL_DEGENERATE)
 
     def test_large_ratio_stays_finite(self):
         # asinh absorbs huge arguments without overflow
@@ -216,6 +235,31 @@ class TestAnalyzePoint:
         assert a.p_mu is None and a.plane is None and a.theta is None
         assert a.to_dict()["p_mu"] is None
 
+    @pytest.mark.parametrize(
+        "field, tols",
+        [("null_field", Tolerances()), ("cx", Tolerances(node=0.5))],
+        ids=["null", "counterexample-widened-node"],
+    )
+    def test_node_psi_is_evaluate_bit_for_bit(self, request, field, tols):
+        w = request.getfixturevalue(field)
+        a = analyze_point(w, ORIGIN, tols)
+        assert a.selection is Selection.NODE
+        want = w.evaluate(ORIGIN)
+        assert (a.psi.real.hex(), a.psi.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+    def test_node_psi_is_evaluate_at_every_event(self, cx):
+        # |psi| never exceeds the amplitude sum, so node=1 makes every event
+        # a node and psi is reported wherever the field has one
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            x = random_point(rng, scale=3.0)
+            a = analyze_point(cx, x, Tolerances(node=1.0))
+            want = cx.evaluate(x)
+            assert a.selection is Selection.NODE
+            assert (a.psi.real.hex(), a.psi.imag.hex()) == (
+                want.real.hex(), want.imag.hex()
+            )
+
     @given(
         which=st.sampled_from(["null", "degenerate", "counterexample"]),
         x=st.tuples(*[st.floats(-3.0, 3.0)] * 4),
@@ -284,6 +328,8 @@ class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
         assert t.causal == 1e-9 and t.ortho == 1e-9 and t.node == 1e-12
+        # each default is declared once, beside the function it feeds
+        assert t == Tolerances(DEFAULT_CLASS_TOL, DEFAULT_ORTHO_TOL, DEFAULT_NODE_TOL)
 
     @pytest.mark.parametrize(
         "bad",

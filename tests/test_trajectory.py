@@ -14,6 +14,7 @@ from kgbohm import (
     Tolerances,
     TrajectoryConfig,
     analyze_point,
+    counterexample,
     inner,
     integrate,
     raise_index,
@@ -100,6 +101,32 @@ class TestIntegrate:
         # every accepted point still had a well-defined velocity
         for p in res.points:
             assert p.selection in (Selection.PLUS_TIMELIKE, Selection.MINUS_TIMELIKE)
+
+    @pytest.mark.parametrize("e", [-1000, -600, 520, 1000])
+    def test_path_scales_exactly_with_the_mass(self, cx, e):
+        # At mass 2^e every covector is 2^e times the unit-mass one and every
+        # event and step 2^-e times; the selected covector's square under-
+        # or overflows there, yet the path must be the unit-mass path scaled
+        def bits(v):
+            return tuple(c.hex() for c in v)
+
+        x0 = FourVector(-0.6, -0.45, 0.4, 0.0)
+        base = integrate(cx, x0, TrajectoryConfig(step=0.02, max_steps=400))
+        s = math.ldexp(1.0, -e)
+        res = integrate(
+            counterexample(math.ldexp(1.0, e)),
+            x0 * s,
+            TrajectoryConfig(step=0.02 * s, max_steps=400),
+        )
+        assert res.termination is base.termination is Termination.ENTERED_BOTH_SPACELIKE
+        assert len(res.points) == len(base.points) == 26
+        assert bits(res.failed_at) == bits(base.failed_at * s)
+        for got, want in zip(res.points, base.points):
+            assert got.tau.hex() == (want.tau * s).hex()
+            assert bits(got.x) == bits(want.x * s)
+            assert bits(got.u) == bits(want.u)
+            assert bits(got.w) == bits(want.w * (1.0 / s))
+            assert got.selection is want.selection
 
     def test_stops_at_widened_node(self, cx):
         cfg = TrajectoryConfig(step=0.05, max_steps=200, tols=Tolerances(node=0.3))

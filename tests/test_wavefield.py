@@ -7,7 +7,6 @@ import pytest
 
 from kgbohm import (
     FourVector,
-    NodeError,
     PlaneWaveMode,
     Superposition,
     counterexample,
@@ -176,16 +175,17 @@ class TestPolarGradients:
             assert a.p_mu[mu] == pytest.approx(b.p_mu[mu], abs=1e-12)
             assert a.s_mu[mu] == pytest.approx(b.s_mu[mu], abs=1e-12)
 
-    def test_node_everywhere_field_raises(self, null_field):
+    def test_node_everywhere_field_has_no_split(self, null_field):
         assert null_field.evaluate(ORIGIN) == 0j
-        with pytest.raises(NodeError):
-            null_field.polar_gradients(ORIGIN)
+        pol = null_field.polar_gradients(ORIGIN)
+        assert pol.psi == 0j and pol.p_mu is None and pol.s_mu is None
 
     def test_node_threshold_is_relative_to_amplitude_sum(self, cx):
         # |psi(0)| / sum|c| ~ 0.47, so a 0.5 threshold trips and 0.4 does not
-        cx.polar_gradients(ORIGIN, node_tol=0.4)
-        with pytest.raises(NodeError):
-            cx.polar_gradients(ORIGIN, node_tol=0.5)
+        pol = cx.polar_gradients(ORIGIN, node_tol=0.4)
+        assert isinstance(pol.p_mu, FourVector) and isinstance(pol.s_mu, FourVector)
+        pol = cx.polar_gradients(ORIGIN, node_tol=0.5)
+        assert pol.p_mu is None and pol.s_mu is None
 
 
 class TestSerialization:
