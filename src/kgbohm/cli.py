@@ -306,10 +306,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
-    est = sample_pair_space(args.n, args.seed, args.sigma, tols)
-    _write_estimate(
-        args, tols, est, {"n": args.n, "seed": args.seed, "sigma": args.sigma}
-    )
+    est = sample_pair_space(args.n, args.seed, tols)
+    _write_estimate(args, tols, est, {"n": args.n, "seed": args.seed})
     return 0
 
 
@@ -450,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample verdict fractions over raw gradient pairs, write JSON",
     )
     _add_sampling_arguments(p)
-    p.add_argument(
-        "--sigma", type=_positive, default=1.0,
-        help="component scale of the normal draw (default 1)",
-    )
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
     _add_tolerance_arguments(p)
     p.set_defaults(func=cmd_sample_pairs)

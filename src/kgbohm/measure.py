@@ -7,9 +7,11 @@ wave function: what fraction of the 8-dimensional space of raw (p, s)
 pairs does each verdict occupy? The both-spacelike set is open, so a
 positive sampled fraction is a direct witness that it has positive measure.
 
-Sampling is uniform over the box for space-time and isotropic normal for
-pair space. Proportions carry 95% Wilson intervals, which stay honest for
-fractions near zero. Samples are drawn in fixed-size chunks, each chunk
+Sampling is uniform over the box for space-time and iid standard normal
+for pair space. Every verdict is homogeneous of degree zero in (p, s), so
+a scale of the normal draw would select nothing; it is fixed at one.
+Proportions carry 95% Wilson intervals, which stay honest for fractions
+near zero. Samples are drawn in fixed-size chunks, each chunk
 seeded from (seed, chunk index), so a tally depends only on (seed, n).
 Near-node and degenerate samples land in their own buckets rather than
 being discarded, keeping totals conserved and biases visible.
@@ -26,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .construction import DEFAULT_TOLERANCES, Selection, Tolerances, classify_batch
 from .minkowski import FourVector
@@ -37,7 +39,6 @@ __all__ = [
     "WILSON_Z95",
     "Region",
     "FractionEstimate",
-    "ScanCell",
     "ScanResult",
     "wilson_interval",
     "estimate_spacetime_fraction",
@@ -86,8 +87,8 @@ class Region:
 class FractionEstimate:
     """Verdict tallies with point estimates and 95% Wilson intervals.
 
-    Counts sum to n; exactly one of region (space-time sampling) or sigma
-    (pair-space sampling) is set, recording the reference measure used.
+    Counts sum to n. region records the box of a space-time estimate; it is
+    None for a pair-space estimate.
     """
 
     counts: dict[str, int]
@@ -96,7 +97,6 @@ class FractionEstimate:
     fractions: dict[str, float]
     wilson_95: dict[str, tuple[float, float]]
     region: Region | None = None
-    sigma: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -108,26 +108,7 @@ class FractionEstimate:
         }
         if self.region is not None:
             out["region"] = self.region.to_dict()
-        if self.sigma is not None:
-            out["sigma"] = self.sigma
         return out
-
-
-class ScanCell(NamedTuple):
-    """One lattice point of a grid scan.
-
-    theta and the two quadratic forms w_plus.w_plus, w_minus.w_minus are
-    NaN where the analysis is undefined (node or degenerate cells).
-    """
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-    selection: str
-    theta: float
-    w_plus_sq: float
-    w_minus_sq: float
 
 
 @dataclass(eq=False)
@@ -148,30 +129,11 @@ class ScanResult:
     w_plus_sq: np.ndarray
     w_minus_sq: np.ndarray
 
-    @property
-    def cells(self) -> list[ScanCell]:
-        """The rows as ScanCells, built on each access."""
-        return [
-            ScanCell(*xs, TALLY_KEYS[c], *numerics)
-            for xs, c, *numerics in zip(
-                itertools.product(*self.axes),
-                self.codes.tolist(),
-                self.theta.tolist(),
-                self.w_plus_sq.tolist(),
-                self.w_minus_sq.tolist(),
-            )
-        ]
-
     def counts(self) -> dict[str, int]:
         import numpy as np
 
         tally = np.bincount(self.codes, minlength=len(TALLY_KEYS))
         return dict(zip(TALLY_KEYS, tally.tolist()))
-
-    def fraction(self, key: str) -> float:
-        if key not in TALLY_KEYS:
-            raise KeyError(f"unknown verdict bucket {key!r}")
-        return self.counts()[key] / self.codes.size
 
 
 def wilson_interval(k: int, n: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -202,7 +164,6 @@ def _build_estimate(
     n: int,
     seed: int,
     region: Region | None = None,
-    sigma: float | None = None,
 ) -> FractionEstimate:
     fractions = {k: counts[k] / n for k in TALLY_KEYS}
     wilson = {k: wilson_interval(counts[k], n) for k in TALLY_KEYS}
@@ -213,7 +174,6 @@ def _build_estimate(
         fractions=fractions,
         wilson_95=wilson,
         region=region,
-        sigma=sigma,
     )
 
 
@@ -259,34 +219,26 @@ def estimate_spacetime_fraction(
 def sample_pair_space(
     n: int,
     seed: int,
-    sigma: float = 1.0,
     tols: Tolerances = DEFAULT_TOLERANCES,
 ) -> FractionEstimate:
-    """Verdict fractions over n raw (p, s) pairs with iid normal components.
+    """Verdict fractions over n raw (p, s) pairs with iid standard normal
+    components.
 
-    Each of the 8 components is drawn from a centered normal of scale
-    sigma. The classification is homogeneous of degree zero, so estimates
-    are sigma-invariant up to sampling noise, and equal for sigmas a power
-    of two apart; sigma is still recorded as the reference measure. The node bucket stays zero here (there is no
+    The 8 components of each pair are drawn independently from N(0, 1). The
+    classification is homogeneous of degree zero, so any other scale would
+    give the same fractions. The node bucket stays zero here (there is no
     wave function to vanish).
     """
     import numpy as np
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise ValueError("sigma must be positive and finite")
-    # The verdicts are homogeneous of degree zero, so sigma's power of two
-    # is left out: draws at its mantissa give the counts the draws at sigma
-    # give wherever those are exact, and cannot overflow near the float
-    # maximum or lose bits to subnormals.
-    mantissa = math.frexp(sigma)[0]
     tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
     for rng, count in _chunk_rngs(n, seed):
-        pairs = rng.standard_normal((count, 8)) * mantissa
+        pairs = rng.standard_normal((count, 8))
         codes = classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
         tally += np.bincount(codes, minlength=len(TALLY_KEYS))
-    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, sigma=sigma)
+    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed)
 
 
 def _axis_coords(lo: float, hi: float, res: int) -> tuple[float, ...]:
@@ -307,9 +259,9 @@ def grid_scan(
 ) -> ScanResult:
     """Evaluate the analysis on the regular lattice of the region.
 
-    Emits one cell per lattice point in row-major order (x0 slowest) with
-    the verdict, theta, and the two candidate quadratic forms; node and
-    degenerate cells carry NaN numerics.
+    Gives one row per lattice point in row-major order (x0 slowest) with
+    the verdict code, theta, and the two candidate quadratic forms; node
+    and degenerate rows carry NaN numerics.
     """
     import numpy as np
 

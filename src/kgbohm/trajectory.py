@@ -156,7 +156,8 @@ def integrate(
     The result records every accepted point (x0 included) with its unit
     tangent, raw selected covector, verdict, and strictly increasing proper
     time. Stops after max_steps accepted steps, or at the first step where
-    any RK4 stage point has an ill-defined velocity, recording the cause
+    any RK4 stage point has an ill-defined velocity or an overflowing field
+    (exp(theta), or a phase k.x that is not finite), recording the cause
     and the offending stage point. A degenerate x0 raises immediately
     instead of returning a result.
 
@@ -191,7 +192,9 @@ def integrate(
             termination = _TERMINATION[e.selection]
             failed_at = stage_x
             break
-        except FieldOverflowError:
+        except (FieldOverflowError, ValueError):
+            # ValueError: a stage point where some phase k.x is not finite
+            # (math.cos of inf raises, a NaN phase gives theta NaN)
             termination = Termination.OVERFLOW
             failed_at = stage_x
             break

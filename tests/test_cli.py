@@ -366,6 +366,20 @@ class TestTrajectory:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_stage_whose_phase_overflows_ends_the_path(self, capsys, tmp_path):
+        # the start's phases are finite, the first stage point's are not
+        out = tmp_path / "traj.csv"
+        with pytest.warns(UserWarning, match="step \\* mass"):
+            code, stdout, err = run(
+                capsys, "trajectory", "--builtin", "counterexample",
+                "--x0", "3e307", "0", "0", "0",
+                "--step", "1e307", "--max-steps", "5", "--out", str(out),
+            )
+        assert (code, err) == (0, "")
+        assert "1 points, termination overflow" in stdout
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 and lines[-1] == "# termination: overflow"
+
     def test_ill_defined_start_fails_loudly(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
         code, _, err = run(
@@ -470,7 +484,8 @@ class TestSamplePairs:
         assert code == 0
         payload = json.loads(out.read_text())
         assert sum(payload["counts"].values()) == 500
-        assert payload["sigma"] == 1.0
+        assert "sigma" not in payload
+        assert payload["manifest"]["parameters"] == {"n": 500, "seed": 2}
         assert payload["counts"]["node"] == 0
         assert payload["manifest"]["command"] == "sample-pairs"
         assert payload["manifest"]["config"] is None
@@ -485,25 +500,15 @@ class TestSamplePairs:
         capsys.readouterr()
         assert first == out.read_bytes()
 
-    def test_sigma_near_the_float_maximum(self, capsys, tmp_path):
-        counts = []
-        for sigma in ("1", "1e308"):
-            out = tmp_path / f"sigma-{sigma}.json"
-            code, _, err = run(
-                capsys, "sample-pairs", "--n", "30000", "--seed", "1",
-                "--sigma", sigma, "--out", str(out),
-            )
-            assert (code, err) == (0, "")
-            counts.append(json.loads(out.read_text())["counts"])
-        assert counts[0] == counts[1]
-
-    def test_rejects_bad_sigma(self, capsys, tmp_path):
+    def test_sigma_is_refused(self, capsys, tmp_path):
+        # the verdicts are scale-free, so the draw has no scale to set
         code, _, err = run(
-            capsys, "sample-pairs", "--n", "10", "--sigma", "-1",
+            capsys, "sample-pairs", "--n", "10", "--sigma", "2",
             "--out", str(tmp_path / "p.json"),
         )
         assert code == 2
-        assert "--sigma" in err
+        assert "unrecognized arguments: --sigma 2" in err
+        assert not (tmp_path / "p.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -641,7 +646,7 @@ class TestParser:
                 "scan": config | {"--lo", "--hi", "--resolution", "--out"},
                 "trajectory": config | {"--x0", "--step", "--max-steps", "--out"},
                 "measure": config | {"--lo", "--hi", "--n", "--seed", "--out"},
-                "sample-pairs": {"--n", "--seed", "--sigma", "--out"},
+                "sample-pairs": {"--n", "--seed", "--out"},
             }.items()
         }
 

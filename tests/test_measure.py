@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -9,7 +10,6 @@ from kgbohm import (
     TALLY_KEYS,
     FourVector,
     Region,
-    ScanCell,
     Selection,
     Tolerances,
     classify_batch,
@@ -138,7 +138,6 @@ class TestSpacetimeEstimate:
         est = estimate_spacetime_fraction(cx, BOX, n=100, seed=1)
         d = json.loads(json.dumps(est.to_dict()))
         assert d["region"] == BOX.to_dict()
-        assert "sigma" not in d
         assert d["n"] == 100 and d["seed"] == 1
         assert sum(d["counts"].values()) == 100
 
@@ -151,14 +150,6 @@ class TestPairSpaceEstimate:
         assert est.counts["both_spacelike"] > 0
         assert est.counts["plus_timelike"] + est.counts["minus_timelike"] > 0
 
-    def test_scale_invariance_is_exact_for_power_of_two_sigma(self):
-        # verdicts are homogeneous of degree zero and doubling every float
-        # is exact, so the tallies agree bit for bit
-        a = sample_pair_space(n=4097, seed=9, sigma=1.0)
-        b = sample_pair_space(n=4097, seed=9, sigma=2.0)
-        assert a.counts == b.counts
-        assert b.sigma == 2.0
-
     def test_both_spacelike_is_exactly_one_half(self):
         # Minkowski orthogonal complement swaps spacelike and Lorentzian
         # 2-planes and preserves every O(4)-invariant pair measure, so
@@ -168,90 +159,80 @@ class TestPairSpaceEstimate:
         se = 0.5 / math.sqrt(n)
         assert abs(est.fractions["both_spacelike"] - 0.5) <= 4.0 * se
 
-    def test_to_dict_records_sigma(self):
-        d = json.loads(json.dumps(sample_pair_space(n=100, seed=0, sigma=3.0).to_dict()))
-        assert d["sigma"] == 3.0
-        assert "region" not in d
+    def test_to_dict_has_no_region(self):
+        est = sample_pair_space(n=100, seed=0)
+        assert est.region is None
+        d = json.loads(json.dumps(est.to_dict()))
+        assert set(d) == {"counts", "fractions", "wilson_95", "seed", "n"}
 
-    @pytest.mark.parametrize("sigma", [1.0, 3.7, 1e-160, 1e300])
-    def test_counts_are_those_of_the_draws_at_sigma(self, sigma):
-        # The reference draws at sigma itself. At these sigmas those draws
-        # are exact multiples of the ones at sigma's mantissa, so leaving
-        # out sigma's power of two moves no count.
+    def test_counts_are_those_of_the_standard_normal_draws(self):
         n = 4096  # one chunk, seeded [seed, 0]
-        pairs = np.random.default_rng([7, 0]).standard_normal((n, 8)) * sigma
+        pairs = np.random.default_rng([7, 0]).standard_normal((n, 8))
         codes = classify_batch(pairs[:, :4], pairs[:, 4:])[0]
         want = np.bincount(codes, minlength=len(TALLY_KEYS)).tolist()
-        assert sample_pair_space(n=n, seed=7, sigma=sigma).counts == dict(
-            zip(TALLY_KEYS, want)
-        )
+        assert sample_pair_space(n=n, seed=7).counts == dict(zip(TALLY_KEYS, want))
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n=0, seed=0),
-            dict(n=10, seed=0, sigma=0.0),
-            dict(n=10, seed=0, sigma=math.inf),
-            dict(n=10, seed=0, sigma=math.nan),
-        ],
+        "kwargs", [dict(n=0, seed=0), dict(n=-1, seed=0), dict(n=10, seed=-1)]
     )
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             sample_pair_space(**kwargs)
 
 
+def lattice(scan):
+    """The scan's lattice points, one per row, in its row order."""
+    return list(itertools.product(*scan.axes))
+
+
 class TestGridScan:
     def test_single_cell_sits_at_the_low_corner(self, cx):
         region = Region(FourVector(0.0, 0.0, 0.0, 0.0), FourVector(0.02, 0.02, 0.02, 0.02))
         scan = grid_scan(cx, region, (1, 1, 1, 1))
-        assert len(scan.cells) == 1
-        cell = scan.cells[0]
-        assert (cell.x0, cell.x1, cell.x2, cell.x3) == (0.0, 0.0, 0.0, 0.0)
-        assert cell.selection == "both_spacelike"
-        assert math.isfinite(cell.theta)
-        assert cell.w_plus_sq < 0.0 and cell.w_minus_sq < 0.0
+        assert scan.axes == ((0.0,),) * 4
+        assert scan.codes.tolist() == [TALLY_KEYS.index("both_spacelike")]
+        assert math.isfinite(scan.theta[0])
+        assert scan.w_plus_sq[0] < 0.0 and scan.w_minus_sq[0] < 0.0
 
     def test_even_resolution_on_symmetric_box_hits_the_center(self, cx):
         scan = grid_scan(cx, BOX, (4, 4, 4, 4))
-        assert len(scan.cells) == 256
-        center = scan.cells[2 * 64 + 2 * 16 + 2 * 4 + 2]
-        assert (center.x0, center.x1, center.x2, center.x3) == (0.0, 0.0, 0.0, 0.0)
-        assert center.selection == "both_spacelike"
-        # row-major with x0 slowest: the first 64 cells share x0 = -0.5
-        assert all(c.x0 == -0.5 for c in scan.cells[:64])
-        axis = sorted({c.x3 for c in scan.cells})
-        assert axis == [-0.5, -0.25, 0.0, 0.25]
+        assert scan.axes == ((-0.5, -0.25, 0.0, 0.25),) * 4
+        assert scan.codes.shape == scan.theta.shape == (256,)
+        # row-major with x0 slowest: the center is row 2*64 + 2*16 + 2*4 + 2
+        center = 2 * 64 + 2 * 16 + 2 * 4 + 2
+        assert lattice(scan)[center] == (0.0, 0.0, 0.0, 0.0)
+        assert TALLY_KEYS[scan.codes[center]] == "both_spacelike"
+        assert all(xs[0] == -0.5 for xs in lattice(scan)[:64])
 
     def test_doubling_resolution_preserves_shared_points(self, cx):
         coarse = grid_scan(cx, BOX, (4, 4, 4, 4))
         fine = grid_scan(cx, BOX, (8, 8, 8, 8))
-        verdict_at = {
-            (c.x0, c.x1, c.x2, c.x3): c.selection for c in fine.cells
-        }
-        for c in coarse.cells:
-            assert verdict_at[(c.x0, c.x1, c.x2, c.x3)] == c.selection
+        verdict_at = dict(zip(lattice(fine), fine.codes.tolist()))
+        for xs, code in zip(lattice(coarse), coarse.codes.tolist()):
+            assert verdict_at[xs] == code
 
     def test_degenerate_cells_carry_nan_numerics(self, degenerate_field):
         region = Region(FourVector(0.0, 0.0, 0.0, 0.0), FourVector(1.0, 1.0, 1.0, 1.0))
         scan = grid_scan(degenerate_field, region, (2, 2, 2, 2))
-        for cell in scan.cells:
-            assert cell.selection == "orthogonal_degenerate"
-            assert math.isnan(cell.theta)
-            assert math.isnan(cell.w_plus_sq) and math.isnan(cell.w_minus_sq)
+        assert scan.codes.tolist() == [TALLY_KEYS.index("orthogonal_degenerate")] * 16
+        assert np.isnan(scan.theta).all()
+        assert np.isnan(scan.w_plus_sq).all() and np.isnan(scan.w_minus_sq).all()
 
     def test_node_cells(self, null_field):
         region = Region(FourVector(0.0, 0.0, 0.0, 0.0), FourVector(1.0, 1.0, 1.0, 1.0))
         scan = grid_scan(null_field, region, (2, 1, 1, 1))
-        assert [c.selection for c in scan.cells] == ["node", "node"]
-        assert all(math.isnan(c.theta) for c in scan.cells)
+        assert scan.codes.tolist() == [TALLY_KEYS.index("node")] * 2
+        assert np.isnan(scan.theta).all()
 
     def test_counts_and_fraction(self, cx):
         scan = grid_scan(cx, BOX, (4, 4, 4, 4))
         counts = scan.counts()
-        assert sum(counts.values()) == 256
-        assert scan.fraction("both_spacelike") == counts["both_spacelike"] / 256
-        with pytest.raises(KeyError):
-            scan.fraction("no_such_bucket")
+        assert list(counts) == list(TALLY_KEYS)
+        assert sum(counts.values()) == scan.codes.size == 256
+        assert counts == {k: int((scan.codes == i).sum()) for i, k in enumerate(TALLY_KEYS)}
+        # the lattice fraction of a bucket, as criterion 07 takes it
+        both = TALLY_KEYS.index("both_spacelike")
+        assert counts["both_spacelike"] / scan.codes.size == (scan.codes == both).mean()
 
     @pytest.mark.parametrize("resolution", [(0, 1, 1, 1), (1, 1, 1), (1, 1, 1, -2)])
     def test_rejects_bad_resolution(self, cx, resolution):
@@ -264,26 +245,22 @@ class TestGridScan:
         write_scan_csv(scan, out)
         lines = out.read_text().splitlines()
         assert lines[0] == "x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq"
-        assert len(lines) == 1 + len(scan.cells)
+        assert len(lines) == 1 + scan.codes.size
         row = lines[1].split(",")
         assert len(row) == 8
-        assert [float(v) for v in row[:4]] == [
-            scan.cells[0].x0,
-            scan.cells[0].x1,
-            scan.cells[0].x2,
-            scan.cells[0].x3,
-        ]
-        assert row[4] == scan.cells[0].selection
-        assert float(row[5]) == scan.cells[0].theta
+        assert tuple(float(v) for v in row[:4]) == lattice(scan)[0]
+        assert row[4] == TALLY_KEYS[scan.codes[0]]
+        assert float(row[5]) == scan.theta[0]
 
 
 def oracle_cells(w, region, resolution, tols):
-    """The scan's cells built one by one from the meshgrid and _verdicts."""
+    """The scan's rows as (x0, x1, x2, x3, selection, theta, w_plus_sq,
+    w_minus_sq) tuples, built one by one from the meshgrid and _verdicts."""
     axes = [_axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)]
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
     codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
     return [
-        ScanCell(*xs, TALLY_KEYS[c], *numerics)
+        (*xs, TALLY_KEYS[c], *numerics)
         for xs, c, *numerics in zip(
             x.tolist(), codes.tolist(), th.tolist(), wp_sq.tolist(), wm_sq.tolist()
         )
@@ -293,9 +270,8 @@ def oracle_cells(w, region, resolution, tols):
 def oracle_csv(cells):
     """The CSV as a per-cell f-string loop writes it."""
     rows = [
-        f"{c.x0!r},{c.x1!r},{c.x2!r},{c.x3!r},{c.selection},"
-        f"{c.theta!r},{c.w_plus_sq!r},{c.w_minus_sq!r}\n"
-        for c in cells
+        f"{x0!r},{x1!r},{x2!r},{x3!r},{sel},{th!r},{wp_sq!r},{wm_sq!r}\n"
+        for x0, x1, x2, x3, sel, th, wp_sq, wm_sq in cells
     ]
     return "x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq\n" + "".join(rows)
 
@@ -331,14 +307,17 @@ class TestScanWriter:
             w = request.getfixturevalue(field)
         want = oracle_cells(w, region, resolution, tols)
         scan = grid_scan(w, region, resolution, tols)
+        assert lattice(scan) == [c[:4] for c in want]
+        assert [TALLY_KEYS[k] for k in scan.codes.tolist()] == [c[4] for c in want]
         # repr, since NaN numerics never compare equal
-        assert list(map(repr, scan.cells)) == list(map(repr, want))
+        numerics = zip(scan.theta.tolist(), scan.w_plus_sq.tolist(), scan.w_minus_sq.tolist())
+        assert list(map(repr, numerics)) == [repr(c[5:]) for c in want]
         out = tmp_path / "scan.csv"
         write_scan_csv(scan, out)
         assert out.read_bytes() == oracle_csv(want).encode()
         counts = scan.counts()
         assert sum(counts.values()) == len(want)
-        assert counts == {k: sum(c.selection == k for c in want) for k in TALLY_KEYS}
+        assert counts == {k: sum(c[4] == k for c in want) for k in TALLY_KEYS}
 
 
 def test_two_modes_never_give_both_spacelike():

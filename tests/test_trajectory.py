@@ -151,6 +151,25 @@ class TestIntegrate:
         assert len(res.points) == 1
         assert res.failed_at is not None
 
+    @pytest.mark.parametrize(
+        "x0,step,n_points,phase",
+        [
+            ((3e307, 0.0, 0.0, 0.0), 1e307, 1, math.inf),  # math.cos(inf) raises
+            ((0.3, 0.7, 0.0, 0.0), 1e307, 3, math.inf),
+            ((0.0, 1e307, 0.0, 0.0), 5e307, 1, math.nan),  # theta is NaN
+        ],
+    )
+    def test_stage_whose_phase_overflows_ends_the_path(self, cx, x0, step, n_points, phase):
+        # every phase k.x at x0 is finite; at the stage point that stops the
+        # path some mode's phase is not
+        with pytest.warns(UserWarning, match="step \\* mass"):
+            res = integrate(cx, FourVector(*x0), TrajectoryConfig(step=step, max_steps=5))
+        assert res.termination is Termination.OVERFLOW
+        assert len(res.points) == n_points
+        phases = [sum(k * x for k, x in zip(m.k, res.failed_at)) for m in cx.modes]
+        assert any(math.isnan(f) for f in phases) == math.isnan(phase)
+        assert (math.inf in phases or -math.inf in phases) == math.isinf(phase)
+
     def test_bad_start_raises_instead_of_returning(self, cx):
         with pytest.raises(IllDefinedVelocityError):
             integrate(cx, ORIGIN, TrajectoryConfig(step=0.1, max_steps=5))
