@@ -197,10 +197,15 @@ def w_fields(
         raise ValueError("theta is NaN")
     try:
         ep = math.exp(th)
-        em = math.exp(-th)
+        em = -math.exp(-th)
     except OverflowError as e:
         raise FieldOverflowError(th) from e
-    return (p * ep + s, p * (-em) + s)
+    p0, p1, p2, p3 = p
+    s0, s1, s2, s3 = s
+    return (
+        FourVector(p0 * ep + s0, p1 * ep + s1, p2 * ep + s2, p3 * ep + s3),
+        FourVector(p0 * em + s0, p1 * em + s1, p2 * em + s2, p3 * em + s3),
+    )
 
 
 def select(class_plus: CausalClass, class_minus: CausalClass) -> Selection:

@@ -65,7 +65,9 @@ class IllDefinedVelocityError(KgBohmError):
     """No unique timelike candidate exists at the point.
 
     Carries the selection verdict (both spacelike, boundary, orthogonal
-    degenerate, or node) that made the velocity ill-defined.
+    degenerate, or node) that made the velocity ill-defined. Raised only by
+    velocity() and by integrate at its start: a path that runs into such a
+    point ends with the verdict as its termination.
     """
 
     def __init__(self, selection: "Selection"):

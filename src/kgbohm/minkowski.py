@@ -54,9 +54,10 @@ class FourVector(NamedTuple):
     """Real four-component vector; components are finite floats.
 
     Used both for covariant gradient/wave covectors and, where stated by
-    the caller, for contravariant events and tangents. Arithmetic is
-    componentwise; the tuple semantics of ``+`` and ``*`` are overridden
-    so no silent concatenation or repetition can occur.
+    the caller, for contravariant events and tangents. It defines no
+    arithmetic: callers combine components themselves, and ``+`` and ``*``
+    raise TypeError instead of falling back to tuple concatenation or
+    repetition.
     """
 
     c0: float
@@ -64,27 +65,7 @@ class FourVector(NamedTuple):
     c2: float
     c3: float
 
-    def __add__(self, other):
-        if not isinstance(other, FourVector):
-            return NotImplemented
-        # tuple.__new__ skips the namedtuple's Python-level __new__
-        return tuple.__new__(
-            FourVector,
-            (self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3),
-        )
-
-    def __mul__(self, s):
-        if not isinstance(s, (int, float)):
-            return NotImplemented
-        return tuple.__new__(
-            FourVector, (self.c0 * s, self.c1 * s, self.c2 * s, self.c3 * s)
-        )
-
-    def __rmul__(self, s):
-        return self.__mul__(s)
-
-    def __neg__(self):
-        return FourVector(-self.c0, -self.c1, -self.c2, -self.c3)
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
     def is_finite(self) -> bool:
         return (

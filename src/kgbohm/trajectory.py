@@ -13,11 +13,13 @@ region and no interpolation to its boundary is attempted.
 A stage evaluates only what the velocity needs: the polar split, theta,
 the two candidates, their causal classes and the selection, through the
 same scalar functions as analyze_point, so every verdict and covector is
-analyze_point's bit for bit. The Gram-criterion cross-check is not part
-of a stage: it stays in analyze_point, behind classify and verify. A
-selected covector whose square under- or overflows is normalized after an
-exact power-of-two rescale, so scaling every mode covector by a power of
-two scales the path by its inverse, bit for bit.
+analyze_point's bit for bit. A stage returns its verdict as a value, with
+no tangent where the velocity is ill-defined, and integrate names the
+termination from it. The Gram-criterion cross-check is not part of a
+stage: it stays in analyze_point, behind classify and verify. A selected
+covector whose square under- or overflows is normalized after an exact
+power-of-two rescale, so scaling every mode covector by a power of two
+scales the path by its inverse, bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .construction import (
     _positive_finite,
 )
 from .errors import FieldOverflowError, IllDefinedVelocityError
-from .minkowski import _HUGE, _TINY, FourVector, _rescaled, inner, raise_index
+from .minkowski import _HUGE, _TINY, FourVector, _rescaled, inner
 from .wavefield import Superposition
 
 __all__ = [
@@ -110,28 +112,30 @@ class TrajectoryResult:
     failed_at: FourVector | None = None
 
 
-def _tangent(
+def _stage(
     w: Superposition, x: FourVector, tols: Tolerances
-) -> tuple[FourVector, FourVector, Selection]:
-    """(unit tangent, selected covector, verdict) at x: one RK4 stage."""
+) -> tuple[FourVector | None, FourVector | None, Selection]:
+    """(unit tangent, selected covector, verdict) at x: one RK4 stage. The
+    first two are None where the verdict leaves the velocity ill-defined."""
     pol = w.polar_gradients(x, node_tol=tols.node)
     if pol.p_mu is None:
-        raise IllDefinedVelocityError(Selection.NODE)
+        return None, None, Selection.NODE
     _, wp, wm, _, _, sel = _candidates(pol.p_mu, pol.s_mu, tols)
     if sel is Selection.PLUS_TIMELIKE:
         w_sel = wp
     elif sel is Selection.MINUS_TIMELIKE:
         w_sel = wm
     else:
-        raise IllDefinedVelocityError(sel)
+        return None, None, sel
     v, q = w_sel, inner(w_sel, w_sel)
     if not _TINY <= q <= _HUGE:  # the square under- or overflowed
         (v,) = _rescaled(w_sel)
         q = inner(v, v)
-    u = raise_index(v) * (1.0 / math.sqrt(q))
-    if u.c0 < 0.0:
-        u = -u
-    return u, w_sel, sel
+    # raise the index, normalize, and orient forward in time
+    f = 1.0 / math.sqrt(q)
+    if v[0] * f < 0.0:
+        f = -f
+    return FourVector(v[0] * f, -v[1] * f, -v[2] * f, -v[3] * f), w_sel, sel
 
 
 def velocity(
@@ -142,10 +146,14 @@ def velocity(
     Selects the timelike candidate, raises its index, normalizes, and
     orients it forward in time. Raises IllDefinedVelocityError carrying
     the verdict when no unique timelike candidate exists, the nodal set
-    included. Scaling psi by a nonzero constant leaves the result
-    unchanged (constants drop out of grad(psi)/psi).
+    included; integrate's stages return that verdict as a value. Scaling
+    psi by a nonzero constant leaves the result unchanged (constants drop
+    out of grad(psi)/psi).
     """
-    return _tangent(w, x, tols)[0]
+    u, _, sel = _stage(w, x, tols)
+    if u is None:
+        raise IllDefinedVelocityError(sel)
+    return u
 
 
 def integrate(
@@ -158,8 +166,8 @@ def integrate(
     time. Stops after max_steps accepted steps, or at the first step where
     any RK4 stage point has an ill-defined velocity or an overflowing field
     (exp(theta), or a phase k.x that is not finite), recording the cause
-    and the offending stage point. A degenerate x0 raises immediately
-    instead of returning a result.
+    and the offending stage point. An x0 with an ill-defined velocity
+    raises IllDefinedVelocityError instead of returning a result.
 
     Deterministic: identical inputs give bit-identical point sequences.
     """
@@ -170,36 +178,37 @@ def integrate(
         )
     tols = cfg.tols
     h = cfg.step
-    u, w_sel, sel = _tangent(w, x0, tols)
+    u, w_sel, sel = _stage(w, x0, tols)
+    if u is None:
+        raise IllDefinedVelocityError(sel)
     points = [TrajectoryPoint(0.0, x0, u, w_sel, sel)]
     x = x0
     tau = 0.0
     termination = Termination.MAX_STEPS
     failed_at: FourVector | None = None
     for _ in range(cfg.max_steps):
-        k1 = u
-        stage_x = x
+        ks = [u]
         try:
-            stage_x = x + k1 * (h / 2.0)
-            k2 = _tangent(w, stage_x, tols)[0]
-            stage_x = x + k2 * (h / 2.0)
-            k3 = _tangent(w, stage_x, tols)[0]
-            stage_x = x + k3 * h
-            k4 = _tangent(w, stage_x, tols)[0]
-            stage_x = x + (k1 + (k2 + k3) * 2.0 + k4) * (h / 6.0)
-            u_next, w_sel, sel = _tangent(w, stage_x, tols)
-        except IllDefinedVelocityError as e:
-            termination = _TERMINATION[e.selection]
-            failed_at = stage_x
-            break
+            # the stage points x + k1 h/2, x + k2 h/2 and x + k3 h, then the
+            # accepted point x + (k1 + 2 (k2 + k3) + k4) h/6
+            for stage_h in (h / 2.0, h / 2.0, h, h / 6.0):
+                v = ks[-1] if len(ks) < 4 else [
+                    a + (b + c) * 2.0 + d for a, b, c, d in zip(*ks)
+                ]
+                stage_x = FourVector(*(a + b * stage_h for a, b in zip(x, v)))
+                k, w_sel, sel = _stage(w, stage_x, tols)
+                if k is None:
+                    break
+                ks.append(k)
         except (FieldOverflowError, ValueError):
             # ValueError: a stage point where some phase k.x is not finite
             # (math.cos of inf raises, a NaN phase gives theta NaN)
-            termination = Termination.OVERFLOW
-            failed_at = stage_x
+            termination, failed_at = Termination.OVERFLOW, stage_x
             break
-        x = stage_x
-        u = u_next
+        if k is None:
+            termination, failed_at = _TERMINATION[sel], stage_x
+            break
+        x, u = stage_x, k
         tau += h
         points.append(TrajectoryPoint(tau, x, u, w_sel, sel))
     return TrajectoryResult(points=points, termination=termination, failed_at=failed_at)

@@ -52,3 +52,8 @@ def two_mode_polar_oracle(k1, k2, c1, c2, x):
     p = FourVector(*(-d * w.imag for d in dk))
     s = FourVector(*(ka + d * w.real for ka, d in zip(k1, dk)))
     return p, s
+
+
+def scaled(v, f):
+    """The FourVector v with every component times f."""
+    return FourVector(*(c * f for c in v))

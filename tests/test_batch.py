@@ -44,7 +44,7 @@ from kgbohm import (
 )
 from kgbohm.construction import classify_batch
 from kgbohm.minkowski import _rescaled
-from support import random_superposition
+from support import random_superposition, scaled
 
 SELECTIONS = tuple(Selection)
 TOLS = DEFAULT_TOLERANCES
@@ -207,7 +207,7 @@ def scalar_outcome(p, s):
 @given(vectors, vectors, st.sampled_from([-600, 600]))
 def test_classify_batch_on_pairs_rescaled_far_from_one(p, s, e):
     f = math.ldexp(1.0, e)
-    ps, ss = p * f, s * f
+    ps, ss = scaled(p, f), scaled(s, f)
     want, wp, wm = scalar_outcome(ps, ss)
     if not isinstance(want, Selection):
         with pytest.raises(want):  # the kernel raises where classify_pair raises
@@ -319,7 +319,7 @@ PLUS_S = FourVector(1.1, -0.2, 0.5, 0.9)
 @pytest.mark.parametrize("e", [-600, -500, 520])
 def test_theta_rescales_pairs_whose_squares_under_or_overflow(e):
     f = math.ldexp(1.0, e)
-    p, s = PLUS_P * f, PLUS_S * f
+    p, s = scaled(PLUS_P, f), scaled(PLUS_S, f)
     assert classify_pair(PLUS_P, PLUS_S) is Selection.PLUS_TIMELIKE
     assert theta(p, s) == theta(PLUS_P, PLUS_S)
     assert classify_pair(p, s) is Selection.PLUS_TIMELIKE
@@ -359,22 +359,22 @@ def test_grid_scan_is_scale_free(e, degenerate_field):
     # At 2^-500 the squares stay normal but the p.s ~ 0 threshold underflows,
     # and the degenerate cells still carry NaN.
     f = math.ldexp(1.0, e)
-    box = Region(BOX.lo * (1 / f), BOX.hi * (1 / f))
+    box = Region(scaled(BOX.lo, 1 / f), scaled(BOX.hi, 1 / f))
     want = grid_scan(counterexample(), BOX, (4, 4, 4, 4))
     got = grid_scan(counterexample(f), box, (4, 4, 4, 4))
     assert np.array_equal(got.codes, want.codes)
     assert (np.abs(got.theta - want.theta) <= RTOL * np.abs(want.theta)).all()
-    scaled = Superposition(
-        mass=f, modes=tuple(PlaneWaveMode(m.k * f, m.c) for m in degenerate_field.modes)
+    scaled_field = Superposition(
+        mass=f, modes=tuple(PlaneWaveMode(scaled(m.k, f), m.c) for m in degenerate_field.modes)
     )
-    scan = grid_scan(scaled, box, (3, 3, 3, 3))
+    scan = grid_scan(scaled_field, box, (3, 3, 3, 3))
     assert (scan.codes == SELECTIONS.index(Selection.ORTHOGONAL_DEGENERATE)).all()
     assert np.isnan(scan.theta).all() and np.isnan(scan.w_plus_sq).all()
 
 
 def test_bulk_paths_run_without_the_scalar_path(monkeypatch, cx):
     f = math.ldexp(1.0, -600)
-    box = Region(BOX.lo * (1 / f), BOX.hi * (1 / f))
+    box = Region(scaled(BOX.lo, 1 / f), scaled(BOX.hi, 1 / f))
 
     def bulk():
         scan = grid_scan(counterexample(f), box, (4, 4, 4, 4))
@@ -446,10 +446,10 @@ def test_mirror_swaps_plus_and_minus(p, s):
     # is -exp(-theta) p + s: the candidates swap bit for bit, and with them
     # the verdicts, raises included. No band: it holds everywhere.
     want, wp, wm = scalar_outcome(p, s)
-    got, gp, gm = scalar_outcome(-p, s)
+    got, gp, gm = scalar_outcome(scaled(p, -1.0), s)
     assert got is MIRROR.get(want, want)
     assert repr((gp, gm)) == repr((wm, wp))  # repr, since NaN never compares equal
-    row, mirrored = batch_outcome(p, s), batch_outcome(-p, s)
+    row, mirrored = batch_outcome(p, s), batch_outcome(scaled(p, -1.0), s)
     if isinstance(row, type):
         assert mirrored is row is want
         return

@@ -27,7 +27,7 @@ from kgbohm import (
     theta,
     w_fields,
 )
-from support import random_point, random_superposition, two_mode_polar_oracle
+from support import random_point, random_superposition, scaled, two_mode_polar_oracle
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
 
@@ -78,7 +78,7 @@ class TestTheta:
         s_bad = FourVector(0.0, 1e-10, 1.0, 0.0)  # cosine ~ 1e-10, below it
         assert theta(p, s_bad) is None
         # pure rescaling cannot rescue a nearly-orthogonal pair
-        assert theta(p * 1e8, s_bad * 1e-8) is None
+        assert theta(scaled(p, 1e8), scaled(s_bad, 1e-8)) is None
 
     @given(
         p=st.builds(FourVector, *[any_component] * 4),

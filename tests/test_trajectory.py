@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from support import random_superposition
+from support import random_superposition, scaled
 
-import kgbohm.trajectory as trajectory_mod
+import kgbohm.construction as construction_mod
 from kgbohm import (
     FieldOverflowError,
     FourVector,
@@ -115,17 +116,17 @@ class TestIntegrate:
         s = math.ldexp(1.0, -e)
         res = integrate(
             counterexample(math.ldexp(1.0, e)),
-            x0 * s,
+            scaled(x0, s),
             TrajectoryConfig(step=0.02 * s, max_steps=400),
         )
         assert res.termination is base.termination is Termination.ENTERED_BOTH_SPACELIKE
         assert len(res.points) == len(base.points) == 26
-        assert bits(res.failed_at) == bits(base.failed_at * s)
+        assert bits(res.failed_at) == bits(scaled(base.failed_at, s))
         for got, want in zip(res.points, base.points):
             assert got.tau.hex() == (want.tau * s).hex()
-            assert bits(got.x) == bits(want.x * s)
+            assert bits(got.x) == bits(scaled(want.x, s))
             assert bits(got.u) == bits(want.u)
-            assert bits(got.w) == bits(want.w * (1.0 / s))
+            assert bits(got.w) == bits(scaled(want.w, 1.0 / s))
             assert got.selection is want.selection
 
     def test_stops_at_widened_node(self, cx):
@@ -136,16 +137,18 @@ class TestIntegrate:
         assert res.failed_at is not None
 
     def test_overflow_is_reported(self, two_mode, monkeypatch):
-        real = trajectory_mod._tangent
+        # the candidates of the start are fine; those of every stage point
+        # overflow
+        real = construction_mod.w_fields
         calls = {"n": 0}
 
-        def exploding(w, x, tols):
+        def exploding(p, s, th):
             calls["n"] += 1
             if calls["n"] > 1:
-                raise FieldOverflowError("candidate field overflowed")
-            return real(w, x, tols)
+                raise FieldOverflowError(th)
+            return real(p, s, th)
 
-        monkeypatch.setattr(trajectory_mod, "_tangent", exploding)
+        monkeypatch.setattr(construction_mod, "w_fields", exploding)
         res = integrate(two_mode, GOOD_START, TrajectoryConfig(step=0.1, max_steps=5))
         assert res.termination is Termination.OVERFLOW
         assert len(res.points) == 1
@@ -221,8 +224,8 @@ TERMINATION_VERDICT = {
 
 def unit_tangent(w_sel):
     """The unit future-pointing tangent of a selected covector."""
-    u = raise_index(w_sel) * (1.0 / math.sqrt(inner(w_sel, w_sel)))
-    return -u if u.c0 < 0.0 else u
+    u = scaled(raise_index(w_sel), 1.0 / math.sqrt(inner(w_sel, w_sel)))
+    return scaled(u, -1.0) if u.c0 < 0.0 else u
 
 
 class TestLeanStage:
@@ -322,3 +325,71 @@ class TestCsvOutput:
         assert out.read_text().splitlines()[-1] == (
             "# termination: entered_both_spacelike"
         )
+
+
+def _path_record(w, x0, cfg):
+    """One line per accepted point (tau, x, u, w in float.hex, selection),
+    then the termination and failed_at; or the verdict of a refused start."""
+    try:
+        res = integrate(w, x0, cfg)
+    except IllDefinedVelocityError as exc:
+        return f"refused {exc.selection.value}\n", None
+    lines = [
+        " ".join([pt.tau.hex(), *(c.hex() for v in pt[1:4] for c in v), pt.selection.value])
+        for pt in res.points
+    ]
+    failed = "none" if res.failed_at is None else " ".join(c.hex() for c in res.failed_at)
+    lines.append(f"{res.termination.value} {failed}")
+    return "\n".join(lines) + "\n", res
+
+
+class TestPathPin:
+    """Every accepted point, termination and failed_at of seeded paths, bit
+    for bit, and the CSV bytes of every tenth path, as sha256 digests. A
+    change to the floating-point operations of a step moves a digest."""
+
+    # case: (field, tolerances, seed, starts, outcomes seen, paths digest,
+    # CSV digest), recorded before the RK4 step moved off FourVector operators
+    CASES = {
+        "counterexample": (
+            "cx", Tolerances(), 41, 200,
+            ["entered_both_spacelike", "max_steps", "refused"],
+            "dfd78f2616b0c699d31f835fcd4122a84e4abae09bbbf51b517a7031d2558d7a",
+            "f04921401ea0ec606080847c50075e46fca00ee1ceb5baa34b7379b8d2c0c856",
+        ),
+        "24-mode-packet": (
+            "packet", Tolerances(), 42, 40,
+            ["entered_both_spacelike", "max_steps", "refused"],
+            "6a45f39c6423b4721ab15117cfb7f3d67c398f25859f2d41a3a7ae2fac20023c",
+            "dacd249ec5e2310752f5463feb63e420a37a5b0a7d2693180dfb2c523c2ba400",
+        ),
+        "widened-node": (
+            "cx", Tolerances(node=0.3), 43, 60,
+            ["entered_both_spacelike", "hit_node", "refused"],
+            "f52621d1662cf649c21b1ebc6627677330f4449365276c694aceb053c5db222e",
+            "8d87a5f6d05fe8384f9275208c3d4e044cc6208ecc9e8131d27aa229132f95df",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_paths_are_pinned(self, request, tmp_path, case):
+        field, tols, seed, n, *want = self.CASES[case]
+        if field == "packet":
+            w = random_superposition(np.random.default_rng(5), n_modes=24)
+        else:
+            w = request.getfixturevalue(field)
+        cfg = TrajectoryConfig(step=0.02, max_steps=100, tols=tols)
+        starts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 4)).tolist()
+        paths, csvs, seen = hashlib.sha256(), hashlib.sha256(), set()
+        out = tmp_path / "traj.csv"
+        for i, x0 in enumerate(map(FourVector._make, starts)):
+            record, res = _path_record(w, x0, cfg)
+            paths.update(record.encode())
+            if res is None:
+                seen.add("refused")
+                continue
+            seen.add(res.termination.value)
+            if i % 10 == 0:
+                write_trajectory_csv(res, out)
+                csvs.update(out.read_bytes())
+        assert [sorted(seen), paths.hexdigest(), csvs.hexdigest()] == want
