@@ -170,9 +170,33 @@ def _region(args: argparse.Namespace, w: Superposition) -> Region:
         region = Region(FourVector(*args.lo), FourVector(*args.hi))
     except ValueError as exc:
         raise _CliError(f"--lo/--hi: {exc}") from None
-    # The phase is linear in x, so the box's corners bound it.
-    _refuse_phase_overflow(w, itertools.product(*zip(region.lo, region.hi)), "--lo/--hi")
+    # The phase is linear in x, so the box's corners bound it; the 16-corner
+    # loop runs only to name the corner of a refused box.
+    if not _box_phase_finite(w, region.lo, region.hi):
+        corners = itertools.product(*zip(region.lo, region.hi))
+        _refuse_phase_overflow(w, corners, "--lo/--hi")
     return region
+
+
+def _phase(k: FourVector, x) -> float:
+    return k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]
+
+
+def _box_phase_finite(w: Superposition, lo: FourVector, hi: FourVector) -> bool:
+    """Whether every mode's phase k.x is finite at every corner of the box.
+
+    Float products and sums round monotonically, so per mode the phase is
+    largest at the corner taking hi where k_i >= 0 and lo elsewhere, and
+    smallest at the opposite corner: where any corner's phase is not
+    finite, one of those two corners' phases is not finite either.
+    """
+    for mode in w.modes:
+        k = mode.k
+        top = [b if c >= 0.0 else a for c, a, b in zip(k, lo, hi)]
+        bottom = [a if c >= 0.0 else b for c, a, b in zip(k, lo, hi)]
+        if not (math.isfinite(_phase(k, top)) and math.isfinite(_phase(k, bottom))):
+            return False
+    return True
 
 
 def _refuse_phase_overflow(w: Superposition, events, flag: str) -> None:
@@ -180,8 +204,7 @@ def _refuse_phase_overflow(w: Superposition, events, flag: str) -> None:
     sin of it are undefined, so nothing there can be computed."""
     for x in events:
         for i, mode in enumerate(w.modes):
-            k = mode.k
-            if not math.isfinite(k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]):
+            if not math.isfinite(_phase(mode.k, x)):
                 raise _CliError(
                     f"{flag}: phase k.x of mode {i} is not finite at "
                     f"{_fmt_vec(FourVector(*x))}"
@@ -455,8 +478,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit status. The first call in a
+    process builds the parser and later calls reuse it; argparse keeps no
+    state between parses, so each call's outputs are a fresh process's."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         out = getattr(args, "out", None)
         if out is not None:  # refused before any work

@@ -175,14 +175,24 @@ def theta(
     """
     if ortho_tol <= 0:
         raise ValueError("ortho_tol must be positive")
-    threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+    # inner and euclidean_sq written out on the components, in their order
+    p0, p1, p2, p3 = p
+    s0, s1, s2, s3 = s
+    threshold = ortho_tol * (
+        math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
+        * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
+    )
     if not _TINY <= threshold <= _HUGE:
         p, s = _rescaled(p, s)
+        p0, p1, p2, p3 = p
+        s0, s1, s2, s3 = s
         threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
-    q = inner(p, s)
+    q = p0 * s0 - p1 * s1 - p2 * s2 - p3 * s3
     if abs(q) <= threshold:
         return None
-    return math.asinh((inner(p, p) - inner(s, s)) / (2.0 * q))
+    pp = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3
+    ss = s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
+    return math.asinh((pp - ss) / (2.0 * q))
 
 
 def w_fields(

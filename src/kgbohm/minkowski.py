@@ -134,11 +134,14 @@ def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
     or overflowed), both sides are computed again on v rescaled by an exact
     power of two, which moves neither of them relative to the other.
     """
-    threshold = tol * euclidean_sq(v)
+    # euclidean_sq and inner written out on the components, in their order
+    v0, v1, v2, v3 = v
+    threshold = tol * (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
     if not _TINY <= threshold <= _HUGE:
         (v,) = _rescaled(v)
+        v0, v1, v2, v3 = v
         threshold = tol * euclidean_sq(v)
-    q = inner(v, v)
+    q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     if abs(q) <= threshold:
         return CausalClass.NULL
     if q > 0.0:

@@ -100,6 +100,8 @@ class Superposition:
     mass: float
     modes: tuple[PlaneWaveMode, ...]
     amp_sum: float = field(init=False, repr=False, compare=False)
+    # (k0, k1, k2, k3, c, 1j * c) per mode, the factors of every evaluation
+    _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (
@@ -118,27 +120,31 @@ class Superposition:
         object.__setattr__(
             self, "amp_sum", sum(abs(complex(m.c)) for m in modes)
         )
+        # 1j * c * e evaluates as (1j * c) * e, so keeping 1j * c moves no bit
+        object.__setattr__(
+            self, "_terms", tuple((*m.k, m.c, 1j * m.c) for m in modes)
+        )
 
     def evaluate(self, x: FourVector) -> complex:
         """psi(x) = sum_i c_i exp(i k^(i) . x), plain covariant pairing."""
+        x0, x1, x2, x3 = x
         total = 0j
-        for mode in self.modes:
-            k = mode.k
-            phase = k.c0 * x.c0 + k.c1 * x.c1 + k.c2 * x.c2 + k.c3 * x.c3
-            total += mode.c * complex(math.cos(phase), math.sin(phase))
+        for k0, k1, k2, k3, c, _ in self._terms:
+            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
+            total += c * complex(math.cos(phase), math.sin(phase))
         return total
 
     def gradient(self, x: FourVector) -> tuple[complex, complex, complex, complex]:
         """Exact analytic gradient (d_mu psi)(x) = sum_i i c_i k^(i)_mu e^{i k.x}."""
+        x0, x1, x2, x3 = x
         g0 = g1 = g2 = g3 = 0j
-        for mode in self.modes:
-            k = mode.k
-            phase = k.c0 * x.c0 + k.c1 * x.c1 + k.c2 * x.c2 + k.c3 * x.c3
-            f = 1j * mode.c * complex(math.cos(phase), math.sin(phase))
-            g0 += f * k.c0
-            g1 += f * k.c1
-            g2 += f * k.c2
-            g3 += f * k.c3
+        for k0, k1, k2, k3, _, ic in self._terms:
+            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
+            f = ic * complex(math.cos(phase), math.sin(phase))
+            g0 += f * k0
+            g1 += f * k1
+            g2 += f * k2
+            g3 += f * k3
         return (g0, g1, g2, g3)
 
     def polar_gradients(
@@ -155,17 +161,17 @@ class Superposition:
             raise ValueError("node_tol must be positive")
         # evaluate and gradient fused, one cos/sin per mode, each with its
         # own operations in its own order, so the bits are theirs
+        x0, x1, x2, x3 = x
         psi = g0 = g1 = g2 = g3 = 0j
-        for mode in self.modes:
-            k = mode.k
-            phase = k.c0 * x.c0 + k.c1 * x.c1 + k.c2 * x.c2 + k.c3 * x.c3
+        for k0, k1, k2, k3, c, ic in self._terms:
+            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
             e = complex(math.cos(phase), math.sin(phase))
-            psi += mode.c * e
-            f = 1j * mode.c * e
-            g0 += f * k.c0
-            g1 += f * k.c1
-            g2 += f * k.c2
-            g3 += f * k.c3
+            psi += c * e
+            f = ic * e
+            g0 += f * k0
+            g1 += f * k1
+            g2 += f * k2
+            g3 += f * k3
         if abs(psi) <= node_tol * self.amp_sum:
             return PolarGradients(psi, None, None)
         r0 = g0 / psi

@@ -1,15 +1,19 @@
 import argparse
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kgbohm.cli as cli
-from kgbohm import PlaneWaveMode, Superposition, counterexample
+from kgbohm import FourVector, PlaneWaveMode, Superposition, counterexample
 from kgbohm.cli import build_parser, main
+from support import random_superposition
 
 
 def run(capsys, *argv):
@@ -565,6 +569,29 @@ def test_event_whose_phase_overflows_refused(capsys, tmp_path, argv, flag):
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+def test_two_corner_phase_check_matches_every_corner():
+    # _region decides a box from two corners per mode; every corner of every
+    # box, near the float maximum too, must give the same decision
+    rng = np.random.default_rng(17)
+    decisions = []
+    for _ in range(400):
+        w = random_superposition(rng, n_modes=int(rng.integers(1, 6)))
+        top = 10.0 ** rng.choice([0.0, 150.0, 305.0, 306.0, 307.0, 307.9])
+        lo = rng.uniform(-top, top / 2, size=4)
+        hi = lo + rng.uniform(0.0, 1.0, size=4) * (top - lo)
+        if not all(a < b for a, b in zip(lo, hi)):
+            continue
+        lo, hi = FourVector(*map(float, lo)), FourVector(*map(float, hi))
+        every = all(
+            math.isfinite(k0 * x[0] + k1 * x[1] + k2 * x[2] + k3 * x[3])
+            for x in itertools.product(*zip(lo, hi))
+            for k0, k1, k2, k3 in (mode.k for mode in w.modes)
+        )
+        assert cli._box_phase_finite(w, lo, hi) is every
+        decisions.append(every)
+    assert 0 < sum(decisions) < len(decisions) and len(decisions) > 300
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -664,6 +691,81 @@ class TestParser:
         assert "argument --n:" in proc.stderr
         assert proc.stdout == ""
         assert not (tmp_path / "m.json").exists()
+
+    def test_import_builds_no_parser(self):
+        script = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting
+import kgbohm.cli
+
+print(len(built), kgbohm.cli._PARSER)
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 None\n"
+
+    def test_one_parser_serves_independent_calls(self, capsys, monkeypatch, tmp_path):
+        # a sequence of calls through one parser: each call's status, output,
+        # files and manifest equal those of the same call on a new parser
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_PARSER", None)
+        trajectory = [
+            "trajectory", "--builtin", "counterexample",
+            "--x0", "-0.03", "0.89", "0.19", "0.89", "--step", "0.02",
+            "--max-steps", "60", "--out", str(tmp_path / "t.csv"),
+        ]
+        calls = [
+            ["sample-pairs", "--n", "10", "--sigma", "2", "--out", str(tmp_path / "p.json")],
+            trajectory + ["--node-tol", "0.3"],
+            trajectory,
+            ["measure", "--builtin", "counterexample", *TestMeasure.BOX,
+             "--n", "300", "--seed", "2", "--out", str(tmp_path / "m.json")],
+            ["classify", "--builtin", "counterexample", "--x", "0.1", "0.2", "0", "0"],
+        ]
+
+        def outcome(argv):
+            result = run(capsys, *argv) + (
+                {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())},
+            )
+            for f in tmp_path.iterdir():
+                f.unlink()
+            return result
+
+        shared = [outcome(argv) for argv in calls]
+        assert len(built) == 1
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        codes = [code for code, *_ in shared]
+        assert codes == [2, 0, 0, 0, 0]
+        assert "--sigma" in shared[0][2]
+        # the widened node stops the first path; the second, on the default
+        # tolerance, runs to the step budget
+        assert "7 points, termination hit_node" in shared[1][1]
+        assert "61 points, termination max_steps" in shared[2][1]
 
     def test_scalar_commands_start_without_numpy(self, tmp_path):
         # numpy is loaded by the batch path only; measure shows the check

@@ -20,13 +20,16 @@ from kgbohm import (
     Superposition,
     Tolerances,
     analyze_point,
+    causal_class,
     classify_pair,
     euclidean_norm,
+    euclidean_sq,
     inner,
     select,
     theta,
     w_fields,
 )
+from kgbohm.minkowski import _HUGE, _TINY, _rescaled
 from support import random_point, random_superposition, scaled, two_mode_polar_oracle
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
@@ -99,6 +102,81 @@ class TestTheta:
         p = FourVector(0.0, 1e150, 0.0, 0.0)
         s = FourVector(1e-100, 1e-100, 0.0, 0.0)
         assert math.isfinite(theta(p, s))
+
+
+def reference_theta(p, s, ortho_tol):
+    """theta built from inner and euclidean_sq, in the order it is pinned to."""
+    threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+    if not _TINY <= threshold <= _HUGE:
+        p, s = _rescaled(p, s)
+        threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+    q = inner(p, s)
+    if abs(q) <= threshold:
+        return None
+    return math.asinh((inner(p, p) - inner(s, s)) / (2.0 * q))
+
+
+def reference_causal_class(v, tol):
+    """causal_class built from inner and euclidean_sq, in the same way."""
+    threshold = tol * euclidean_sq(v)
+    if not _TINY <= threshold <= _HUGE:
+        (v,) = _rescaled(v)
+        threshold = tol * euclidean_sq(v)
+    q = inner(v, v)
+    if abs(q) <= threshold:
+        return CausalClass.NULL
+    return CausalClass.TIMELIKE if q > 0.0 else CausalClass.SPACELIKE
+
+
+unit_components = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+
+
+@given(
+    p=st.builds(FourVector, *[unit_components] * 4),
+    s=st.builds(FourVector, *[unit_components] * 4),
+    e=st.sampled_from([-600, 0, 520]),
+    ortho=st.sampled_from([1e-9, 1e-2]),
+    class_tol=st.sampled_from([DEFAULT_CLASS_TOL, 2.0**-52]),
+    off_null=st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_theta_and_causal_class_keep_their_operation_order(
+    p, s, e, ortho, class_tol, off_null
+):
+    # the scalar path writes inner and euclidean_sq out on the components;
+    # a sum taken in another order moves a last bit the path digests can
+    # miss. Each verdict is also checked with its band's edge on the
+    # quantity it bounds, and with a null band a few ulps wide around a
+    # vector near the light cone, where the verdict hangs on those bits.
+    r = euclidean_norm(FourVector(0.0, *p[1:]))
+    near_null = FourVector(r * (1.0 + off_null * class_tol), *p[1:])
+    f = math.ldexp(1.0, e)
+    p, s, near_null = scaled(p, f), scaled(s, f), scaled(near_null, f)
+
+    def edge(num, den):  # scale-free, as the bands are
+        return abs(num) / den if den > 0.0 else 0.0
+
+    pr, sr = _rescaled(p, s)
+    ortho_edge = edge(inner(pr, sr), math.sqrt(euclidean_sq(pr)) * math.sqrt(euclidean_sq(sr)))
+    for tol in (ortho_edge, ortho):  # th is ortho's after the loop
+        if not 0.0 < tol <= _HUGE:
+            continue
+        th, ref = theta(p, s, tol), reference_theta(p, s, tol)
+        assert (th is None) == (ref is None)
+        assert th is None or th.hex() == ref.hex()
+    vectors = [p, s, near_null]
+    if th is not None:
+        try:
+            vectors += w_fields(p, s, th)
+        except FieldOverflowError:
+            pass
+    for v in vectors:
+        (u,) = _rescaled(v)
+        for tol in (class_tol, edge(inner(u, u), euclidean_sq(u))):
+            if 0.0 < tol <= _HUGE:
+                assert causal_class(v, tol) is reference_causal_class(v, tol)
 
 
 class TestWFields:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -186,6 +187,50 @@ class TestPolarGradients:
         assert isinstance(pol.p_mu, FourVector) and isinstance(pol.s_mu, FourVector)
         pol = cx.polar_gradients(ORIGIN, node_tol=0.5)
         assert pol.p_mu is None and pol.s_mu is None
+
+
+class TestModeTerms:
+    """Superposition keeps per-mode factors for its evaluations; they must
+    not show in equality, hashing, repr or to_dict."""
+
+    def test_cannot_be_seen_from_outside(self, cx):
+        again = Superposition(mass=cx.mass, modes=cx.modes)
+        object.__setattr__(again, "_terms", ())
+        assert again == cx
+        assert hash(cx) == hash(again) == hash((cx.mass, cx.modes))
+        assert repr(cx) == f"Superposition(mass={cx.mass!r}, modes={cx.modes!r})"
+        assert cx.to_dict() == {
+            "mass": cx.mass,
+            "modes": [
+                {"k": list(m.k), "c": [m.c.real, m.c.imag]} for m in cx.modes
+            ],
+        }
+
+    def test_replace_revalidates_and_recomputes(self, cx):
+        with pytest.raises(ValueError, match="off the mass shell"):
+            dataclasses.replace(cx, mass=2.0)
+        heavy = counterexample(2.0)
+        w = dataclasses.replace(cx, mass=2.0, modes=heavy.modes)
+        x = FourVector(0.3, -0.2, 0.1, 0.4)
+        assert w == heavy
+        assert w.evaluate(x) == heavy.evaluate(x) != cx.evaluate(x)
+        assert w.polar_gradients(x) == heavy.polar_gradients(x)
+
+    def test_polar_gradients_agree_with_evaluate_and_gradient_bitwise(self):
+        def bits(*zs):
+            return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+        rng = np.random.default_rng(24)
+        w = random_superposition(rng, n_modes=24)
+        for _ in range(50):
+            x = random_point(rng)
+            pol = w.polar_gradients(x)
+            psi = w.evaluate(x)
+            assert bits(pol.psi) == bits(psi)
+            ratios = [g / psi for g in w.gradient(x)]
+            assert bits(*ratios) == bits(
+                *(complex(a, b) for a, b in zip(pol.p_mu, pol.s_mu))
+            )
 
 
 class TestSerialization:
