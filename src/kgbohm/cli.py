@@ -24,7 +24,6 @@ whose directory does not exist or that names a directory, or whose
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import re
@@ -170,41 +169,26 @@ def _region(args: argparse.Namespace, w: Superposition) -> Region:
         region = Region(FourVector(*args.lo), FourVector(*args.hi))
     except ValueError as exc:
         raise _CliError(f"--lo/--hi: {exc}") from None
-    # The phase is linear in x, so the box's corners bound it; the 16-corner
-    # loop runs only to name the corner of a refused box.
-    if not _box_phase_finite(w, region.lo, region.hi):
-        corners = itertools.product(*zip(region.lo, region.hi))
-        _refuse_phase_overflow(w, corners, "--lo/--hi")
+    _refuse_phase_overflow(w, region.lo, region.hi, "--lo/--hi")
     return region
 
 
-def _phase(k: FourVector, x) -> float:
-    return k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]
+def _refuse_phase_overflow(w: Superposition, lo, hi, flag: str) -> None:
+    """Refuse a box (an event when lo is hi) in which some mode's phase k.x
+    is not finite: cos and sin of it are undefined, so nothing there can be
+    computed.
 
-
-def _box_phase_finite(w: Superposition, lo: FourVector, hi: FourVector) -> bool:
-    """Whether every mode's phase k.x is finite at every corner of the box.
-
-    Float products and sums round monotonically, so per mode the phase is
-    largest at the corner taking hi where k_i >= 0 and lo elsewhere, and
-    smallest at the opposite corner: where any corner's phase is not
-    finite, one of those two corners' phases is not finite either.
+    The phase is linear in x, and float products and sums round
+    monotonically, so per mode it is largest at the corner taking hi where
+    k_i >= 0 and lo elsewhere, and smallest at the opposite corner: where
+    any corner's phase is not finite, one of those two corners' phases is
+    not finite either, and that corner is the one named.
     """
-    for mode in w.modes:
-        k = mode.k
+    for i, k in enumerate(mode.k for mode in w.modes):
         top = [b if c >= 0.0 else a for c, a, b in zip(k, lo, hi)]
         bottom = [a if c >= 0.0 else b for c, a, b in zip(k, lo, hi)]
-        if not (math.isfinite(_phase(k, top)) and math.isfinite(_phase(k, bottom))):
-            return False
-    return True
-
-
-def _refuse_phase_overflow(w: Superposition, events, flag: str) -> None:
-    """Refuse events at which some mode's phase k.x is not finite: cos and
-    sin of it are undefined, so nothing there can be computed."""
-    for x in events:
-        for i, mode in enumerate(w.modes):
-            if not math.isfinite(_phase(mode.k, x)):
+        for x in (top, bottom):
+            if not math.isfinite(k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]):
                 raise _CliError(
                     f"{flag}: phase k.x of mode {i} is not finite at "
                     f"{_fmt_vec(FourVector(*x))}"
@@ -266,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    _refuse_phase_overflow(w, [args.x], "--x")
+    _refuse_phase_overflow(w, args.x, args.x, "--x")
     a = analyze_point(w, FourVector(*args.x), tols)
     if a.selection is Selection.NODE:
         print(
@@ -298,7 +282,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_trajectory(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     w = _load_config(args)
-    _refuse_phase_overflow(w, [args.x0], "--x0")
+    _refuse_phase_overflow(w, args.x0, args.x0, "--x0")
     cfg = TrajectoryConfig(step=args.step, max_steps=args.max_steps, tols=tols)
     try:
         result = integrate(w, FourVector(*args.x0), cfg)

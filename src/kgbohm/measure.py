@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .construction import DEFAULT_TOLERANCES, Selection, Tolerances, classify_batch
 from .minkowski import FourVector
@@ -121,8 +121,6 @@ class ScanResult:
     truth value to compare by.
     """
 
-    region: Region
-    resolution: tuple[int, int, int, int]
     axes: tuple[tuple[float, ...], ...]
     codes: np.ndarray
     theta: np.ndarray
@@ -151,32 +149,6 @@ def wilson_interval(k: int, n: int, z: float = WILSON_Z95) -> tuple[float, float
     return (lo, hi)
 
 
-def _chunk_rngs(n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
-    """(rng, sample count) per fixed-size chunk, seeded from (seed, index)."""
-    import numpy as np
-
-    for idx, start in enumerate(range(0, n, _CHUNK)):
-        yield np.random.default_rng([seed, idx]), min(_CHUNK, n - start)
-
-
-def _build_estimate(
-    counts: dict[str, int],
-    n: int,
-    seed: int,
-    region: Region | None = None,
-) -> FractionEstimate:
-    fractions = {k: counts[k] / n for k in TALLY_KEYS}
-    wilson = {k: wilson_interval(counts[k], n) for k in TALLY_KEYS}
-    return FractionEstimate(
-        counts=dict(counts),
-        n=n,
-        seed=seed,
-        fractions=fractions,
-        wilson_95=wilson,
-        region=region,
-    )
-
-
 def _verdicts(
     w: Superposition, x: np.ndarray, tols: Tolerances
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -189,6 +161,28 @@ def _verdicts(
     codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
     codes[node] = _NODE
     return codes, th, wp_sq, wm_sq
+
+
+def _estimate(
+    n: int,
+    seed: int,
+    codes_of: Callable[[np.random.Generator, int], np.ndarray],
+    region: Region | None = None,
+) -> FractionEstimate:
+    """Tally codes_of(rng, count) over fixed-size chunks of n samples, chunk
+    i drawing from default_rng([seed, i]), into fractions and intervals."""
+    import numpy as np
+
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
+    for idx, start in enumerate(range(0, n, _CHUNK)):
+        codes = codes_of(np.random.default_rng([seed, idx]), min(_CHUNK, n - start))
+        tally += np.bincount(codes, minlength=len(TALLY_KEYS))
+    counts = dict(zip(TALLY_KEYS, tally.tolist()))
+    fractions = {k: counts[k] / n for k in TALLY_KEYS}
+    wilson = {k: wilson_interval(counts[k], n) for k in TALLY_KEYS}
+    return FractionEstimate(counts, n, seed, fractions, wilson, region)
 
 
 def estimate_spacetime_fraction(
@@ -205,15 +199,13 @@ def estimate_spacetime_fraction(
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
     lo = np.asarray(region.lo, dtype=float)
     span = np.asarray(region.hi, dtype=float) - lo
-    tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
-    for rng, count in _chunk_rngs(n, seed):
-        codes = _verdicts(w, lo + rng.random((count, 4)) * span, tols)[0]
-        tally += np.bincount(codes, minlength=len(TALLY_KEYS))
-    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed, region=region)
+
+    def codes_of(rng: np.random.Generator, count: int) -> np.ndarray:
+        return _verdicts(w, lo + rng.random((count, 4)) * span, tols)[0]
+
+    return _estimate(n, seed, codes_of, region)
 
 
 def sample_pair_space(
@@ -229,16 +221,12 @@ def sample_pair_space(
     give the same fractions. The node bucket stays zero here (there is no
     wave function to vanish).
     """
-    import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
-    for rng, count in _chunk_rngs(n, seed):
+    def codes_of(rng: np.random.Generator, count: int) -> np.ndarray:
         pairs = rng.standard_normal((count, 8))
-        codes = classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
-        tally += np.bincount(codes, minlength=len(TALLY_KEYS))
-    return _build_estimate(dict(zip(TALLY_KEYS, tally.tolist())), n, seed)
+        return classify_batch(pairs[:, :4], pairs[:, 4:], tols)[0]
+
+    return _estimate(n, seed, codes_of)
 
 
 def _axis_coords(lo: float, hi: float, res: int) -> tuple[float, ...]:
@@ -272,7 +260,7 @@ def grid_scan(
         _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
     )
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    return ScanResult(region, res, axes, *_verdicts(w, x, tols))
+    return ScanResult(axes, *_verdicts(w, x, tols))
 
 
 def write_scan_csv(scan: ScanResult, path: str | Path) -> None:

@@ -209,17 +209,15 @@ class Superposition:
         g_re = np.zeros((4, len(x)))  # one row per gradient component
         g_im = np.zeros((4, len(x)))
         with np.errstate(all="ignore"):
-            for mode in self.modes:
-                k = mode.k
-                c = complex(mode.c)
-                phase = k.c0 * x0 + k.c1 * x1 + k.c2 * x2 + k.c3 * x3
+            for k0, k1, k2, k3, c, _ in self._terms:
+                phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
                 cos, sin = np.cos(phase), np.sin(phase)
                 term_re = c.real * cos - c.imag * sin
                 term_im = c.real * sin + c.imag * cos
                 psi_re += term_re
                 psi_im += term_im
                 # d_mu of the term is i k_mu times it
-                k_col = np.array(k)[:, None]
+                k_col = np.array((k0, k1, k2, k3))[:, None]
                 g_re -= k_col * term_im
                 g_im += k_col * term_re
             # Smith's division, as CPython's complex g / psi does it

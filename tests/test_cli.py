@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -541,37 +542,46 @@ BOX_AT_THE_FLOAT_MAXIMUM = ("--lo", "0", "0", "0", "0", "--hi", "1e308", "1", "1
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, flag, corner",
     [
-        (["classify", "--x", "1e308", "0", "0", "0"], "--x"),
+        (
+            ["classify", "--x", "1e308", "0", "0", "0"],
+            "--x",
+            "(1e+308, 0.0, 0.0, 0.0)",
+        ),
         (
             ["trajectory", "--x0", "1e308", "0", "0", "0", "--step", "0.01",
              "--max-steps", "3"],
             "--x0",
+            "(1e+308, 0.0, 0.0, 0.0)",
         ),
+        # a box names the corner where the mode's phase is largest
         (["scan", *BOX_AT_THE_FLOAT_MAXIMUM, "--resolution", "2", "1", "1", "1"],
-         "--lo/--hi"),
-        (["measure", *BOX_AT_THE_FLOAT_MAXIMUM, "--n", "10"], "--lo/--hi"),
+         "--lo/--hi", "(1e+308, 1.0, 1.0, 1.0)"),
+        (["measure", *BOX_AT_THE_FLOAT_MAXIMUM, "--n", "10"], "--lo/--hi",
+         "(1e+308, 1.0, 1.0, 1.0)"),
     ],
     ids=["classify", "trajectory", "scan", "measure"],
 )
-def test_event_whose_phase_overflows_refused(capsys, tmp_path, argv, flag):
+def test_event_whose_phase_overflows_refused(capsys, tmp_path, argv, flag, corner):
     # sqrt(27) * 1e308 overflows, so mode 1's phase k.x is infinite there
     out = [] if argv[0] == "classify" else ["--out", str(tmp_path / "result")]
     code, stdout, err = run(
         capsys, argv[0], "--builtin", "counterexample", *argv[1:], *out
     )
     assert code == 2
-    assert err == (
-        f"error: {flag}: phase k.x of mode 1 is not finite at "
-        "(1e+308, 0.0, 0.0, 0.0)\n"
-    )
+    assert err == f"error: {flag}: phase k.x of mode 1 is not finite at {corner}\n"
     assert stdout == "" and list(tmp_path.iterdir()) == []
 
 
+def phase(k, x):
+    return k.c0 * x[0] + k.c1 * x[1] + k.c2 * x[2] + k.c3 * x[3]
+
+
 def test_two_corner_phase_check_matches_every_corner():
-    # _region decides a box from two corners per mode; every corner of every
-    # box, near the float maximum too, must give the same decision
+    # the phase check looks at two corners per mode; it must refuse exactly
+    # the boxes, near the float maximum too, with some corner's phase not
+    # finite, and name such a corner
     rng = np.random.default_rng(17)
     decisions = []
     for _ in range(400):
@@ -582,12 +592,23 @@ def test_two_corner_phase_check_matches_every_corner():
         if not all(a < b for a, b in zip(lo, hi)):
             continue
         lo, hi = FourVector(*map(float, lo)), FourVector(*map(float, hi))
+        corners = list(itertools.product(*zip(lo, hi)))
         every = all(
-            math.isfinite(k0 * x[0] + k1 * x[1] + k2 * x[2] + k3 * x[3])
-            for x in itertools.product(*zip(lo, hi))
-            for k0, k1, k2, k3 in (mode.k for mode in w.modes)
+            math.isfinite(phase(mode.k, x)) for x in corners for mode in w.modes
         )
-        assert cli._box_phase_finite(w, lo, hi) is every
+        try:
+            cli._refuse_phase_overflow(w, lo, hi, "--lo/--hi")
+        except cli._CliError as exc:
+            assert not every
+            named = re.fullmatch(
+                r"--lo/--hi: phase k\.x of mode (\d+) is not finite at \((.*)\)",
+                str(exc),
+            )
+            i, corner = int(named[1]), tuple(map(float, named[2].split(", ")))
+            assert corner in corners
+            assert not math.isfinite(phase(w.modes[i].k, corner))
+        else:
+            assert every
         decisions.append(every)
     assert 0 < sum(decisions) < len(decisions) and len(decisions) > 300
 

@@ -24,6 +24,23 @@ from support import random_superposition
 
 BOX = Region(FourVector(-0.5, -0.5, -0.5, -0.5), FourVector(0.5, 0.5, 0.5, 0.5))
 
+# n and seed that both estimators refuse
+BAD_PARAMETERS = [dict(n=0, seed=0), dict(n=-1, seed=0), dict(n=10, seed=-1)]
+
+# Three chunks of draws: two full ones of 4096 samples, seeded [seed, 0] and
+# [seed, 1], and a partial last one of 3, seeded [seed, 2].
+CHUNKS = (4096, 4096, 3)
+
+
+def chunked_counts(seed, codes_of):
+    """The tally of codes_of(rng, count) over CHUNKS, chunk i drawing from
+    default_rng([seed, i])."""
+    codes = np.concatenate(
+        [codes_of(np.random.default_rng([seed, i]), c) for i, c in enumerate(CHUNKS)]
+    )
+    return dict(zip(TALLY_KEYS, np.bincount(codes, minlength=len(TALLY_KEYS)).tolist()))
+
+
 # Wilson 95% intervals pinned against an independent statistics library.
 WILSON_ORACLE = {
     (3, 10): (0.10779126740630102, 0.6032218525388546),
@@ -130,9 +147,21 @@ class TestSpacetimeEstimate:
         est = estimate_spacetime_fraction(degenerate_field, BOX, n=64, seed=0)
         assert est.counts["orthogonal_degenerate"] == 64
 
-    def test_rejects_empty_request(self, cx):
+    def test_counts_are_those_of_the_uniform_draws(self, cx):
+        lo = np.asarray(BOX.lo)
+        span = np.asarray(BOX.hi) - lo
+
+        def codes_of(rng, count):
+            x = lo + rng.random((count, 4)) * span
+            return _verdicts(cx, x, DEFAULT_TOLERANCES)[0]
+
+        est = estimate_spacetime_fraction(cx, BOX, n=sum(CHUNKS), seed=7)
+        assert est.counts == chunked_counts(7, codes_of)
+
+    @pytest.mark.parametrize("kwargs", BAD_PARAMETERS)
+    def test_rejects_bad_parameters(self, cx, kwargs):
         with pytest.raises(ValueError):
-            estimate_spacetime_fraction(cx, BOX, n=0, seed=0)
+            estimate_spacetime_fraction(cx, BOX, **kwargs)
 
     def test_to_dict_records_region(self, cx):
         est = estimate_spacetime_fraction(cx, BOX, n=100, seed=1)
@@ -166,15 +195,14 @@ class TestPairSpaceEstimate:
         assert set(d) == {"counts", "fractions", "wilson_95", "seed", "n"}
 
     def test_counts_are_those_of_the_standard_normal_draws(self):
-        n = 4096  # one chunk, seeded [seed, 0]
-        pairs = np.random.default_rng([7, 0]).standard_normal((n, 8))
-        codes = classify_batch(pairs[:, :4], pairs[:, 4:])[0]
-        want = np.bincount(codes, minlength=len(TALLY_KEYS)).tolist()
-        assert sample_pair_space(n=n, seed=7).counts == dict(zip(TALLY_KEYS, want))
+        def codes_of(rng, count):
+            pairs = rng.standard_normal((count, 8))
+            return classify_batch(pairs[:, :4], pairs[:, 4:])[0]
 
-    @pytest.mark.parametrize(
-        "kwargs", [dict(n=0, seed=0), dict(n=-1, seed=0), dict(n=10, seed=-1)]
-    )
+        est = sample_pair_space(n=sum(CHUNKS), seed=7)
+        assert est.counts == chunked_counts(7, codes_of)
+
+    @pytest.mark.parametrize("kwargs", BAD_PARAMETERS)
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             sample_pair_space(**kwargs)

@@ -1,4 +1,6 @@
+import ast
 import inspect
+from pathlib import Path
 
 import kgbohm
 from kgbohm import cli, construction, errors, measure, minkowski, trajectory, wavefield
@@ -20,3 +22,35 @@ def test_cli_entry_points_are_plain_functions():
     assert {"build_parser", "main"} <= set(cli.__all__)
     for fn in (cli.build_parser, cli.main):
         assert inspect.isfunction(fn) and fn.__module__ == "kgbohm.cli"
+
+
+def test_every_private_module_name_is_used():
+    # a module-level _name that nothing else in the package reads is dead code
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in Path(kgbohm.__file__).parent.glob("*.py")
+    }
+    defined, used = [], []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", node)])
+            for target in targets:
+                name = getattr(target, "id", getattr(target, "name", ""))
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, name, node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.append((module, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                used.append((module, node.attr, node.lineno))
+            elif isinstance(node, ast.alias):
+                used.append((module, node.name, node.lineno))
+    unused = [
+        (module, name)
+        for module, name, first, last in defined
+        if not any(
+            n == name and (m != module or not first <= line <= last)
+            for m, n, line in used
+        )
+    ]
+    assert defined and unused == []
