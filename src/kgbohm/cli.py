@@ -28,16 +28,13 @@ import json
 import math
 import re
 import sys
+import warnings
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .construction import (
-    DEFAULT_TOLERANCES,
-    Selection,
-    Tolerances,
-    analyze_point,
-)
+from .construction import Selection, analyze_point
 from .errors import IllDefinedVelocityError, KgBohmError
 from .measure import (
     TALLY_KEYS,
@@ -47,7 +44,7 @@ from .measure import (
     sample_pair_space,
     write_scan_csv,
 )
-from .minkowski import CausalClass, FourVector, PlaneClass, inner
+from .minkowski import CausalClass, FourVector, PlaneClass, Tolerances, inner
 from .trajectory import TrajectoryConfig, integrate, write_trajectory_csv
 from .wavefield import Superposition, counterexample, load_superposition
 
@@ -94,8 +91,14 @@ def _at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
-def _tolerances(args: argparse.Namespace) -> Tolerances:
-    return Tolerances(args.class_tol, args.ortho_tol, args.node_tol)
+# Each tolerance flag and the Tolerances field it sets (its dest and its
+# default), with its help text. A subcommand takes the flags that can change
+# its answer; main builds args.tols from them, the other fields at default.
+_TOLERANCE_FLAGS = {
+    "--class-tol": ("causal", "relative threshold for timelike/spacelike/null calls"),
+    "--ortho-tol": ("ortho", "relative threshold below which p.s counts as zero"),
+    "--node-tol": ("node", "|psi| below TOL * sum|c_i| counts as a node"),
+}
 
 
 def _load_config(args: argparse.Namespace) -> Superposition:
@@ -111,7 +114,7 @@ def _load_config(args: argparse.Namespace) -> Superposition:
         raise _CliError(f"--config: {exc}") from None
 
 
-def _manifest(args: argparse.Namespace, tols: Tolerances, parameters: dict) -> dict:
+def _manifest(args: argparse.Namespace, parameters: dict) -> dict:
     if getattr(args, "builtin", None) is not None:
         config = {"builtin": args.builtin}
     elif getattr(args, "config", None) is not None:
@@ -122,7 +125,7 @@ def _manifest(args: argparse.Namespace, tols: Tolerances, parameters: dict) -> d
         "artifact_version": __version__,
         "command": args.command,
         "config": config,
-        "tolerances": {"causal": tols.causal, "ortho": tols.ortho, "node": tols.node},
+        "tolerances": asdict(args.tols),
         "parameters": parameters,
         "outputs": [str(args.out)],
     }
@@ -142,17 +145,13 @@ def _sidecar_path(args: argparse.Namespace) -> Path | None:
     return Path(f"{args.out}.manifest.json")
 
 
-def _write_sidecar_manifest(
-    args: argparse.Namespace, tols: Tolerances, parameters: dict
-) -> None:
-    _write_json(_sidecar_path(args), _manifest(args, tols, parameters))
+def _write_sidecar_manifest(args: argparse.Namespace, parameters: dict) -> None:
+    _write_json(_sidecar_path(args), _manifest(args, parameters))
 
 
-def _write_estimate(
-    args: argparse.Namespace, tols: Tolerances, est, parameters: dict
-) -> None:
+def _write_estimate(args: argparse.Namespace, est, parameters: dict) -> None:
     payload = est.to_dict()
-    payload["manifest"] = _manifest(args, tols, parameters)
+    payload["manifest"] = _manifest(args, parameters)
     _write_json(args.out, payload)
     print(f"wrote {args.out}: n={args.n} seed={args.seed}")
     for key in TALLY_KEYS:
@@ -197,13 +196,12 @@ def _refuse_phase_overflow(w: Superposition, lo, hi, flag: str) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     m = args.mass
-    tols = _tolerances(args)
     try:
         w = counterexample(m)
     except ValueError as exc:  # sqrt(27) m overflows, or rounds off shell
         raise _CliError(f"--mass: {exc}") from None
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
-    a = analyze_point(w, origin, tols)
+    a = analyze_point(w, origin)
 
     gamma = 3.0 - 1.0 / math.sqrt(3.0)
     alpha = math.sqrt(26.0) * m / gamma
@@ -248,10 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    tols = _tolerances(args)
     w = _load_config(args)
     _refuse_phase_overflow(w, args.x, args.x, "--x")
-    a = analyze_point(w, FourVector(*args.x), tols)
+    a = analyze_point(w, FourVector(*args.x), args.tols)
     if a.selection is Selection.NODE:
         print(
             f"node: |psi| = {abs(a.psi):.6e} is at or below --node-tol times "
@@ -264,13 +261,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    tols = _tolerances(args)
     w = _load_config(args)
     region = _region(args, w)
-    scan = grid_scan(w, region, tuple(args.resolution), tols)
+    scan = grid_scan(w, region, tuple(args.resolution), args.tols)
     write_scan_csv(scan, args.out)
     _write_sidecar_manifest(
-        args, tols, {"region": region.to_dict(), "resolution": args.resolution}
+        args, {"region": region.to_dict(), "resolution": args.resolution}
     )
     counts, rows = scan.counts(), scan.codes.size
     print(f"wrote {args.out}: {rows} rows")
@@ -280,18 +276,20 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_trajectory(args: argparse.Namespace) -> int:
-    tols = _tolerances(args)
     w = _load_config(args)
     _refuse_phase_overflow(w, args.x0, args.x0, "--x0")
-    cfg = TrajectoryConfig(step=args.step, max_steps=args.max_steps, tols=tols)
-    try:
-        result = integrate(w, FourVector(*args.x0), cfg)
-    except IllDefinedVelocityError as exc:
-        print(f"ill-defined at start: {exc}", file=sys.stderr)
-        return 1
+    cfg = TrajectoryConfig(step=args.step, max_steps=args.max_steps, tols=args.tols)
+    with warnings.catch_warnings():  # a warning as one line, with no source path
+        warnings.filterwarnings("always", r"step \* mass", UserWarning)
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            result = integrate(w, FourVector(*args.x0), cfg)
+        except IllDefinedVelocityError as exc:
+            print(f"ill-defined at start: {exc}", file=sys.stderr)
+            return 1
     write_trajectory_csv(result, args.out)
     _write_sidecar_manifest(
-        args, tols, {"x0": args.x0, "step": args.step, "max_steps": args.max_steps}
+        args, {"x0": args.x0, "step": args.step, "max_steps": args.max_steps}
     )
     print(
         f"wrote {args.out}: {len(result.points)} points, "
@@ -301,47 +299,30 @@ def cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    tols = _tolerances(args)
     w = _load_config(args)
     region = _region(args, w)
-    est = estimate_spacetime_fraction(w, region, args.n, args.seed, tols)
+    est = estimate_spacetime_fraction(w, region, args.n, args.seed, args.tols)
     _write_estimate(
-        args, tols, est, {"region": region.to_dict(), "n": args.n, "seed": args.seed}
+        args, est, {"region": region.to_dict(), "n": args.n, "seed": args.seed}
     )
     return 0
 
 
 def cmd_sample_pairs(args: argparse.Namespace) -> int:
-    tols = _tolerances(args)
-    est = sample_pair_space(args.n, args.seed, tols)
-    _write_estimate(args, tols, est, {"n": args.n, "seed": args.seed})
+    est = sample_pair_space(args.n, args.seed, args.tols)
+    _write_estimate(args, est, {"n": args.n, "seed": args.seed})
     return 0
 
 
-def _add_tolerance_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--class-tol",
-        type=_positive,
-        default=DEFAULT_TOLERANCES.causal,
-        metavar="TOL",
-        help="relative threshold for timelike/spacelike/null calls "
-        "(default %(default)g)",
-    )
-    p.add_argument(
-        "--ortho-tol",
-        type=_positive,
-        default=DEFAULT_TOLERANCES.ortho,
-        metavar="TOL",
-        help="relative threshold below which p.s counts as zero "
-        "(default %(default)g)",
-    )
-    p.add_argument(
-        "--node-tol",
-        type=_positive,
-        default=DEFAULT_TOLERANCES.node,
-        metavar="TOL",
-        help="|psi| below TOL * sum|c_i| counts as a node (default %(default)g)",
-    )
+def _add_tolerance_arguments(
+    p: argparse.ArgumentParser, flags=tuple(_TOLERANCE_FLAGS)
+) -> None:
+    for flag in flags:
+        field, text = _TOLERANCE_FLAGS[flag]
+        p.add_argument(
+            flag, type=_positive, default=getattr(Tolerances(), field),
+            dest=field, metavar="TOL", help=f"{text} (default %(default)g)",
+        )
 
 
 def _add_config_arguments(p: argparse.ArgumentParser) -> None:
@@ -403,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mass", type=_positive, default=1.0, help="particle mass (default 1)"
     )
-    _add_tolerance_arguments(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classify", help="analyze one event, print JSON")
@@ -456,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sampling_arguments(p)
     p.add_argument("--out", type=Path, required=True, help="output JSON path")
-    _add_tolerance_arguments(p)
+    _add_tolerance_arguments(p, ("--class-tol", "--ortho-tol"))
     p.set_defaults(func=cmd_sample_pairs)
 
     return parser
@@ -473,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    args.tols = Tolerances(
+        **{f: getattr(args, f) for f, _ in _TOLERANCE_FLAGS.values() if f in args}
+    )
     try:
         out = getattr(args, "out", None)
         if out is not None:  # refused before any work

@@ -43,10 +43,11 @@ from enum import Enum
 
 from .errors import BothTimelikeError, FieldOverflowError
 from .minkowski import (
-    DEFAULT_CLASS_TOL,
+    DEFAULT_TOLERANCES,
     CausalClass,
     FourVector,
     PlaneClass,
+    Tolerances,
     causal_class,
     euclidean_sq,
     inner,
@@ -55,12 +56,9 @@ from .minkowski import (
     _TINY,
     _rescaled,
 )
-from .wavefield import DEFAULT_NODE_TOL, Superposition
+from .wavefield import Superposition
 
 __all__ = [
-    "DEFAULT_ORTHO_TOL",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "Selection",
     "PointAnalysis",
     "theta",
@@ -70,39 +68,6 @@ __all__ = [
     "classify_batch",
     "analyze_point",
 ]
-
-DEFAULT_ORTHO_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative tolerances for the analysis pipeline.
-
-    causal: causal classification threshold, |v.v| vs component scale
-    ortho:  degeneracy threshold on |p.s| vs |p||s| (Euclidean norms)
-    node:   nodal threshold on |psi| vs sum of mode amplitude moduli
-    """
-
-    causal: float = DEFAULT_CLASS_TOL
-    ortho: float = DEFAULT_ORTHO_TOL
-    node: float = DEFAULT_NODE_TOL
-
-    def __post_init__(self):
-        for name in ("causal", "ortho", "node"):
-            v = getattr(self, name)
-            if not _positive_finite(v):
-                raise ValueError(
-                    f"tolerance {name!r} must be a positive finite number, got {v!r}"
-                )
-
-
-def _positive_finite(v) -> bool:
-    """Whether v is an int or float, not a bool, in (0, largest float]."""
-    return not isinstance(v, bool) and isinstance(v, (int, float)) and 0 < v <= _HUGE
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
 
 class Selection(Enum):
     """Verdict of the timelike-selection rule at one point."""
@@ -159,26 +124,24 @@ def _plain(v):
 
 
 def theta(
-    p: FourVector, s: FourVector, ortho_tol: float = DEFAULT_ORTHO_TOL
+    p: FourVector, s: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> float | None:
     """Hyperbolic mixing angle, asinh((p.p - s.s) / (2 p.s)).
 
     Evaluated through math.asinh, i.e. the overflow-safe logarithmic form
     sign(u) * ln(|u| + sqrt(u^2 + 1)).
 
-    None where |p.s| <= ortho_tol * |p| * |s| (Euclidean norms), the
+    None where |p.s| <= tols.ortho * |p| * |s| (Euclidean norms), the
     excluded p.s ~ 0 case where theta is undefined; in particular the zero
     covector is always degenerate. Where that threshold is zero, subnormal
     or infinite (the squares under- or overflowed), everything is computed
     again on p and s rescaled together by one exact power of two, which
     moves neither theta nor the test.
     """
-    if ortho_tol <= 0:
-        raise ValueError("ortho_tol must be positive")
     # inner and euclidean_sq written out on the components, in their order
     p0, p1, p2, p3 = p
     s0, s1, s2, s3 = s
-    threshold = ortho_tol * (
+    threshold = tols.ortho * (
         math.sqrt(p0 * p0 + p1 * p1 + p2 * p2 + p3 * p3)
         * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
     )
@@ -186,7 +149,7 @@ def theta(
         p, s = _rescaled(p, s)
         p0, p1, p2, p3 = p
         s0, s1, s2, s3 = s
-        threshold = ortho_tol * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+        threshold = tols.ortho * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
     q = p0 * s0 - p1 * s1 - p2 * s2 - p3 * s3
     if abs(q) <= threshold:
         return None
@@ -260,12 +223,12 @@ def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
     The one scalar sequence theta -> w_fields -> causal_class x2 -> select,
     shared by classify_pair, analyze_point and the trajectory stages.
     """
-    th = theta(p, s, tols.ortho)
+    th = theta(p, s, tols)
     if th is None:
         return None, None, None, None, None, Selection.ORTHOGONAL_DEGENERATE
     wp, wm = w_fields(p, s, th)
-    cp = causal_class(wp, tols.causal)
-    cm = causal_class(wm, tols.causal)
+    cp = causal_class(wp, tols)
+    cm = causal_class(wm, tols)
     return th, wp, wm, cp, cm, select(cp, cm)
 
 
@@ -361,12 +324,12 @@ def analyze_point(
     ORTHOGONAL_DEGENERATE verdict, with the fields that do not exist there
     left None.
     """
-    pol = w.polar_gradients(x, node_tol=tols.node)
+    pol = w.polar_gradients(x, tols)
     if pol.p_mu is None:
         return PointAnalysis(
             x=x, psi=pol.psi, selection=Selection.NODE, gram_consistent=True
         )
-    plane = plane_class(pol.p_mu, pol.s_mu, tols.causal)
+    plane = plane_class(pol.p_mu, pol.s_mu, tols)
     th, wp, wm, cp, cm, sel = _candidates(pol.p_mu, pol.s_mu, tols)
     return PointAnalysis(
         x=x,

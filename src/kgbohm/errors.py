@@ -28,14 +28,6 @@ class NodeError(KgBohmError):
     importable for bench/workloads.py, which still names it.
     """
 
-    def __init__(self, abs_psi: float, threshold: float):
-        self.abs_psi = abs_psi
-        self.threshold = threshold
-        super().__init__(
-            f"|psi| = {abs_psi:.6e} is at or below the nodal threshold "
-            f"{threshold:.6e}; polar decomposition undefined"
-        )
-
 
 class BothTimelikeError(KgBohmError):
     """Both candidate covectors classified timelike.

@@ -30,8 +30,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .construction import DEFAULT_TOLERANCES, Selection, Tolerances, classify_batch
-from .minkowski import FourVector
+from .construction import Selection, classify_batch
+from .minkowski import DEFAULT_TOLERANCES, FourVector, Tolerances
 from .wavefield import Superposition
 
 __all__ = [
@@ -156,7 +156,7 @@ def _verdicts(
 
     Node rows carry NaN numerics, like p.s ~ 0 rows.
     """
-    _, p, s, node = w.polar_gradients_batch(x, tols.node)
+    _, p, s, node = w.polar_gradients_batch(x, tols)
     p[node] = s[node] = 0.0  # NaN there; a zero pair is degenerate, then relabelled
     codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
     codes[node] = _NODE

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 __all__ = [
-    "DEFAULT_CLASS_TOL",
+    "Tolerances",
+    "DEFAULT_TOLERANCES",
     "CausalClass",
     "PlaneClass",
     "FourVector",
@@ -32,10 +34,38 @@ __all__ = [
     "plane_class",
 ]
 
-DEFAULT_CLASS_TOL = 1e-9
-
 _TINY = sys.float_info.min  # smallest normal double
 _HUGE = sys.float_info.max
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Relative tolerances for every verdict, and their one validity check.
+
+    causal: causal classification threshold, |v.v| vs component scale
+    ortho:  degeneracy threshold on |p.s| vs |p||s| (Euclidean norms)
+    node:   nodal threshold on |psi| vs sum of mode amplitude moduli
+    """
+
+    causal: float = 1e-9
+    ortho: float = 1e-9
+    node: float = 1e-12
+
+    def __post_init__(self):
+        for name in ("causal", "ortho", "node"):
+            v = getattr(self, name)
+            if not _positive_finite(v):
+                raise ValueError(
+                    f"tolerance {name!r} must be a positive finite number, got {v!r}"
+                )
+
+
+def _positive_finite(v) -> bool:
+    """Whether v is an int or float, not a bool, in (0, largest float]."""
+    return not isinstance(v, bool) and isinstance(v, (int, float)) and 0 < v <= _HUGE
+
+
+DEFAULT_TOLERANCES = Tolerances()
 
 
 class CausalClass(Enum):
@@ -125,22 +155,24 @@ def _rescaled(*vs):
     return tuple(np.ldexp(a, e) for a in arrays)
 
 
-def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
+def causal_class(
+    v: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
+) -> CausalClass:
     """Classify v as timelike, spacelike, or null.
 
-    Null means |v.v| <= tol * (component square sum), so the verdict is
-    unit-independent and the zero vector is null rather than an error.
-    Where that threshold is zero, subnormal or infinite (the squares under-
-    or overflowed), both sides are computed again on v rescaled by an exact
-    power of two, which moves neither of them relative to the other.
+    Null means |v.v| <= tols.causal * (component square sum), so the
+    verdict is unit-independent and the zero vector is null rather than an
+    error. Where that threshold is zero, subnormal or infinite (the squares
+    under- or overflowed), both sides are computed again on v rescaled by an
+    exact power of two, which moves neither of them relative to the other.
     """
     # euclidean_sq and inner written out on the components, in their order
     v0, v1, v2, v3 = v
-    threshold = tol * (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
+    threshold = tols.causal * (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
     if not _TINY <= threshold <= _HUGE:
         (v,) = _rescaled(v)
         v0, v1, v2, v3 = v
-        threshold = tol * euclidean_sq(v)
+        threshold = tols.causal * euclidean_sq(v)
     q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     if abs(q) <= threshold:
         return CausalClass.NULL
@@ -150,12 +182,12 @@ def causal_class(v: FourVector, tol: float = DEFAULT_CLASS_TOL) -> CausalClass:
 
 
 def plane_class(
-    a: FourVector, b: FourVector, tol: float = DEFAULT_CLASS_TOL
+    a: FourVector, b: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> PlaneClass:
     """Classify the 2-plane spanned by a and b via their Gram matrix.
 
     With G = [[a.a, a.b], [a.b, b.b]] and scale the product of the two
-    Euclidean square sums:
+    Euclidean square sums, and tol = tols.causal:
 
       det G >  tol*scale and a.a < 0  ->  spacelike plane (form negative
                                           definite on the span)
@@ -169,10 +201,10 @@ def plane_class(
     infinite, a and b are each rescaled by an exact power of two first,
     as in causal_class.
     """
-    threshold = tol * euclidean_sq(a) * euclidean_sq(b)
+    threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)
     if not _TINY <= threshold <= _HUGE:
         (a,), (b,) = _rescaled(a), _rescaled(b)
-        threshold = tol * euclidean_sq(a) * euclidean_sq(b)
+        threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)
     aa = inner(a, a)
     ab = inner(a, b)
     bb = inner(b, b)

@@ -31,15 +31,18 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .construction import (
-    DEFAULT_TOLERANCES,
-    Selection,
-    Tolerances,
-    _candidates,
-    _positive_finite,
-)
+from .construction import Selection, _candidates
 from .errors import FieldOverflowError, IllDefinedVelocityError
-from .minkowski import _HUGE, _TINY, FourVector, _rescaled, inner
+from .minkowski import (
+    _HUGE,
+    _TINY,
+    DEFAULT_TOLERANCES,
+    FourVector,
+    Tolerances,
+    _positive_finite,
+    _rescaled,
+    inner,
+)
 from .wavefield import Superposition
 
 __all__ = [
@@ -117,7 +120,7 @@ def _stage(
 ) -> tuple[FourVector | None, FourVector | None, Selection]:
     """(unit tangent, selected covector, verdict) at x: one RK4 stage. The
     first two are None where the verdict leaves the velocity ill-defined."""
-    pol = w.polar_gradients(x, node_tol=tols.node)
+    pol = w.polar_gradients(x, tols)
     if pol.p_mu is None:
         return None, None, Selection.NODE
     _, wp, wm, _, _, sel = _candidates(pol.p_mu, pol.s_mu, tols)

@@ -23,11 +23,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .minkowski import FourVector, _rescaled, inner
+from .minkowski import (
+    DEFAULT_TOLERANCES,
+    FourVector,
+    Tolerances,
+    _positive_finite,
+    _rescaled,
+    inner,
+)
 
 __all__ = [
     "ON_SHELL_RTOL",
-    "DEFAULT_NODE_TOL",
     "PlaneWaveMode",
     "PolarGradients",
     "Superposition",
@@ -36,7 +42,6 @@ __all__ = [
 ]
 
 ON_SHELL_RTOL = 1e-12
-DEFAULT_NODE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,10 +96,9 @@ def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
 class Superposition:
     """Mass m plus an ordered list of on-shell positive-energy modes.
 
-    Immutable after construction; every evaluation is pure, so instances
-    are safe to share across concurrent workers. Mode order is preserved
-    but irrelevant to outputs up to float roundoff (the wave function is
-    a sum).
+    Immutable after construction, and every evaluation is pure. Mode order
+    is preserved but irrelevant to outputs up to float roundoff (the wave
+    function is a sum).
     """
 
     mass: float
@@ -104,11 +108,7 @@ class Superposition:
     _terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (
-            isinstance(self.mass, (int, float))
-            and math.isfinite(self.mass)
-            and self.mass > 0
-        ):
+        if not _positive_finite(self.mass):
             raise ValueError(f"mass must be a positive finite real, got {self.mass!r}")
         object.__setattr__(self, "mass", float(self.mass))
         modes = tuple(self.modes)
@@ -148,17 +148,15 @@ class Superposition:
         return (g0, g1, g2, g3)
 
     def polar_gradients(
-        self, x: FourVector, node_tol: float = DEFAULT_NODE_TOL
+        self, x: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
     ) -> PolarGradients:
         """Split grad(psi)/psi into real and imaginary covectors at x.
 
-        Where |psi| <= node_tol * sum_i |c_i| (the nodal set) p_mu and s_mu
+        Where |psi| <= tols.node * sum_i |c_i| (the nodal set) p_mu and s_mu
         are None, as the batch kernel's node mask says; the threshold is
         relative to the maximum attainable |psi|, so nodal detection is
         scale-free in the amplitudes. psi is evaluate's, bit for bit.
         """
-        if node_tol <= 0:
-            raise ValueError("node_tol must be positive")
         # evaluate and gradient fused, one cos/sin per mode, each with its
         # own operations in its own order, so the bits are theirs
         x0, x1, x2, x3 = x
@@ -172,7 +170,7 @@ class Superposition:
             g1 += f * k1
             g2 += f * k2
             g3 += f * k3
-        if abs(psi) <= node_tol * self.amp_sum:
+        if abs(psi) <= tols.node * self.amp_sum:
             return PolarGradients(psi, None, None)
         r0 = g0 / psi
         r1 = g1 / psi
@@ -185,12 +183,12 @@ class Superposition:
         )
 
     def polar_gradients_batch(
-        self, x: np.ndarray, node_tol: float = DEFAULT_NODE_TOL
+        self, x: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """polar_gradients at every row of the events x (N, 4), without raising.
 
         Returns (psi, p, s, node): psi complex (N,), p and s (N, 4), and
-        node, True where |psi| <= node_tol * sum_i |c_i|; p and s are NaN
+        node, True where |psi| <= tols.node * sum_i |c_i|; p and s are NaN
         on those rows. psi and the gradient are accumulated mode by mode
         in evaluate's order, and divided as Python divides complex numbers,
         so every value equals the scalar path's wherever numpy's sin and cos
@@ -198,8 +196,6 @@ class Superposition:
         """
         import numpy as np
 
-        if node_tol <= 0:
-            raise ValueError("node_tol must be positive")
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != 4:
             raise ValueError(f"events must have shape (N, 4), got {x.shape}")
@@ -228,7 +224,7 @@ class Superposition:
             v = np.where(swap, g_re, g_im)
             p = (u + v * ratio) / denom
             s = (v - u * ratio) / np.where(swap, -denom, denom)
-            node = np.hypot(psi_re, psi_im) <= node_tol * self.amp_sum
+            node = np.hypot(psi_re, psi_im) <= tols.node * self.amp_sum
         p[:, node] = np.nan
         s[:, node] = np.nan
         psi = np.empty(len(x), dtype=complex)
@@ -294,8 +290,8 @@ def counterexample(mass: float = 1.0) -> Superposition:
     which span a spacelike 2-plane. Two modes cannot produce this (p and s
     always lie in the span of the mode covectors).
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not _positive_finite(mass):
+        raise ValueError(f"mass must be a positive finite real, got {mass!r}")
     m = float(mass)
     root26 = math.sqrt(26.0)
     root27 = math.sqrt(27.0)

@@ -124,12 +124,12 @@ def test_batch_kernel_matches_analyze_point(name, tols):
     make, half, n = FIELDS[name]
     w = make()
     x = np.random.default_rng([7, n]).uniform(-half, half, size=(n, 4))
-    psi, p, s, node = w.polar_gradients_batch(x, tols.node)
+    psi, p, s, node = w.polar_gradients_batch(x, tols)
     scalar = {}
     for i, row in enumerate(x.tolist()):
         ev = FourVector(*row)
         assert psi[i] == pytest.approx(w.evaluate(ev), rel=1e-12, abs=1e-12 * w.amp_sum)
-        pol = w.polar_gradients(ev, tols.node)
+        pol = w.polar_gradients(ev, tols)
         if pol.p_mu is None:
             assert node[i] and pol.s_mu is None
             continue
@@ -175,7 +175,7 @@ def test_classify_batch_matches_classify_pair_on_normal_pairs():
         sel = classify_pair(p, s, TOLS)
         wp = wm = None
         if sel is not Selection.ORTHOGONAL_DEGENERATE:
-            t = theta(p, s, TOLS.ortho)
+            t = theta(p, s, TOLS)
             wp, wm = w_fields(p, s, t)
         if in_band(p, s, wp, wm):
             continue
@@ -201,7 +201,7 @@ def scalar_outcome(p, s):
         return type(exc), None, None
     if sel is Selection.ORTHOGONAL_DEGENERATE:
         return sel, None, None
-    return (sel, *w_fields(p, s, theta(p, s, TOLS.ortho)))
+    return (sel, *w_fields(p, s, theta(p, s, TOLS)))
 
 
 @given(vectors, vectors, st.sampled_from([-600, 600]))
@@ -238,7 +238,7 @@ def cancelled(p, s, wp, wm):
     if wp is None:
         return False
     p, s = _rescaled(p, s)
-    th = theta(p, s, TOLS.ortho)
+    th = theta(p, s, TOLS)
     return any(
         euclidean_norm(w) <= 1e-6 * (f * euclidean_norm(p) + euclidean_norm(s))
         for f, w in zip((math.exp(th), math.exp(-th)), w_fields(p, s, th))
@@ -421,7 +421,7 @@ def test_complement_plane_has_the_other_signature(p, s):
     u, v = (FourVector(*row) for row in np.linalg.svd(rows)[2][2:].tolist())
     code = classify_batch(np.array([p]), np.array([s]), TOLS)[0][0]
     assert SELECTIONS[code] is want
-    plane = plane_class(u, v, TOLS.causal)
+    plane = plane_class(u, v, TOLS)
     assert (plane is PlaneClass.LORENTZIAN_PLANE) == (want is Selection.BOTH_SPACELIKE)
     assert (plane is PlaneClass.SPACELIKE_PLANE) == (want is not Selection.BOTH_SPACELIKE)
 
@@ -499,7 +499,5 @@ def test_grid_scan_matches_analyze_point(cx):
 def test_batch_inputs_are_checked(cx):
     with pytest.raises(ValueError):
         cx.polar_gradients_batch(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        cx.polar_gradients_batch(np.zeros((3, 4)), node_tol=0.0)
     with pytest.raises(ValueError):
         classify_batch(np.zeros((3, 4)), np.zeros((2, 4)))

@@ -91,6 +91,13 @@ class TestVerify:
         assert err.startswith("error: --mass: ") and reason in err
         assert err.count("\n") == 1
 
+    def test_takes_no_tolerance_flag(self, capsys):
+        # the closed form is checked at the default tolerances; a widened
+        # band could only fail the check, or crash it
+        code, out, err = run(capsys, "verify", "--node-tol", "0.5")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --node-tol 0.5\n")
+
     @pytest.mark.parametrize("mass", ["1e-310", "3e307"])
     def test_mass_near_the_float_extremes_passes(self, capsys, mass):
         code, out, _ = run(capsys, "verify", "--mass", mass)
@@ -374,13 +381,13 @@ class TestTrajectory:
     def test_stage_whose_phase_overflows_ends_the_path(self, capsys, tmp_path):
         # the start's phases are finite, the first stage point's are not
         out = tmp_path / "traj.csv"
-        with pytest.warns(UserWarning, match="step \\* mass"):
-            code, stdout, err = run(
-                capsys, "trajectory", "--builtin", "counterexample",
-                "--x0", "3e307", "0", "0", "0",
-                "--step", "1e307", "--max-steps", "5", "--out", str(out),
-            )
-        assert (code, err) == (0, "")
+        code, stdout, err = run(
+            capsys, "trajectory", "--builtin", "counterexample",
+            "--x0", "3e307", "0", "0", "0",
+            "--step", "1e307", "--max-steps", "5", "--out", str(out),
+        )
+        # the step * mass > 1 warning is one line, the same in every checkout
+        assert (code, err) == (0, "warning: step * mass = 1e+307 > 1; accuracy may suffer\n")
         assert "1 points, termination overflow" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 3 and lines[-1] == "# termination: overflow"
@@ -395,6 +402,18 @@ class TestTrajectory:
         assert code == 1
         assert err.startswith("ill-defined at start:")
         assert not out.exists()
+
+    def test_warning_comes_before_the_start_refusal(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "trajectory", "--builtin", "counterexample",
+            "--x0", "0", "0", "0", "0.1",
+            "--step", "2", "--max-steps", "3", "--out", str(tmp_path / "t.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "warning: step * mass = 2 > 1; accuracy may suffer\n"
+            "ill-defined at start: velocity ill-defined: verdict both_spacelike\n"
+        )
 
     def test_node_start_fails_loudly(self, capsys, tmp_path, config_file, null_field):
         path = config_file(null_field)
@@ -676,7 +695,8 @@ def test_manifest_path_that_is_a_directory_refused(capsys, tmp_path, argv):
 
 class TestParser:
     def test_flag_sets_are_pinned(self):
-        common = {"-h", "--help", "--class-tol", "--ortho-tol", "--node-tol"}
+        common = {"-h", "--help"}
+        tols = {"--class-tol", "--ortho-tol", "--node-tol"}
         config = {"--config", "--builtin"}
         sub = next(
             a for a in build_parser()._actions
@@ -690,11 +710,11 @@ class TestParser:
             name: common | extra
             for name, extra in {
                 "verify": {"--mass"},
-                "classify": config | {"--x"},
-                "scan": config | {"--lo", "--hi", "--resolution", "--out"},
-                "trajectory": config | {"--x0", "--step", "--max-steps", "--out"},
-                "measure": config | {"--lo", "--hi", "--n", "--seed", "--out"},
-                "sample-pairs": {"--n", "--seed", "--out"},
+                "classify": tols | config | {"--x"},
+                "scan": tols | config | {"--lo", "--hi", "--resolution", "--out"},
+                "trajectory": tols | config | {"--x0", "--step", "--max-steps", "--out"},
+                "measure": tols | config | {"--lo", "--hi", "--n", "--seed", "--out"},
+                "sample-pairs": {"--class-tol", "--ortho-tol", "--n", "--seed", "--out"},
             }.items()
         }
 

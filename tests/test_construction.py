@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kgbohm import (
-    DEFAULT_CLASS_TOL,
-    DEFAULT_NODE_TOL,
-    DEFAULT_ORTHO_TOL,
+    DEFAULT_TOLERANCES,
     BothTimelikeError,
     CausalClass,
     FieldOverflowError,
@@ -89,7 +87,7 @@ class TestTheta:
         ortho=st.sampled_from([1e-9, 1e-6, 1e-2]),
     )
     def test_none_exactly_where_the_verdict_is_orthogonal_degenerate(self, p, s, ortho):
-        th = theta(p, s, ortho)
+        th = theta(p, s, Tolerances(ortho=ortho))
         try:
             sel = classify_pair(p, s, Tolerances(ortho=ortho))
         except (BothTimelikeError, FieldOverflowError):
@@ -139,7 +137,7 @@ unit_components = st.one_of(
     s=st.builds(FourVector, *[unit_components] * 4),
     e=st.sampled_from([-600, 0, 520]),
     ortho=st.sampled_from([1e-9, 1e-2]),
-    class_tol=st.sampled_from([DEFAULT_CLASS_TOL, 2.0**-52]),
+    class_tol=st.sampled_from([DEFAULT_TOLERANCES.causal, 2.0**-52]),
     off_null=st.floats(min_value=-3.0, max_value=3.0),
 )
 def test_theta_and_causal_class_keep_their_operation_order(
@@ -163,7 +161,7 @@ def test_theta_and_causal_class_keep_their_operation_order(
     for tol in (ortho_edge, ortho):  # th is ortho's after the loop
         if not 0.0 < tol <= _HUGE:
             continue
-        th, ref = theta(p, s, tol), reference_theta(p, s, tol)
+        th, ref = theta(p, s, Tolerances(ortho=tol)), reference_theta(p, s, tol)
         assert (th is None) == (ref is None)
         assert th is None or th.hex() == ref.hex()
     vectors = [p, s, near_null]
@@ -176,7 +174,8 @@ def test_theta_and_causal_class_keep_their_operation_order(
         (u,) = _rescaled(v)
         for tol in (class_tol, edge(inner(u, u), euclidean_sq(u))):
             if 0.0 < tol <= _HUGE:
-                assert causal_class(v, tol) is reference_causal_class(v, tol)
+                got = causal_class(v, Tolerances(causal=tol))
+                assert got is reference_causal_class(v, tol)
 
 
 class TestWFields:
@@ -406,8 +405,10 @@ class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
         assert t.causal == 1e-9 and t.ortho == 1e-9 and t.node == 1e-12
-        # each default is declared once, beside the function it feeds
-        assert t == Tolerances(DEFAULT_CLASS_TOL, DEFAULT_ORTHO_TOL, DEFAULT_NODE_TOL)
+        # each default is declared once, as a field default of Tolerances
+        assert t == Tolerances(
+            DEFAULT_TOLERANCES.causal, DEFAULT_TOLERANCES.ortho, DEFAULT_TOLERANCES.node
+        )
 
     @pytest.mark.parametrize(
         "bad",

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from kgbohm import (
     CausalClass,
+    Tolerances,
     FourVector,
     PlaneClass,
     causal_class,
@@ -96,7 +97,7 @@ def test_causal_class_tolerance_is_relative():
     # widening the tolerance flips a marginal verdict
     u = FourVector(1.0, 0.999, 0.0, 0.0)
     assert causal_class(u) is CausalClass.TIMELIKE
-    assert causal_class(u, tol=1e-2) is CausalClass.NULL
+    assert causal_class(u, Tolerances(causal=1e-2)) is CausalClass.NULL
 
 
 def _scales_exactly(vectors, s):

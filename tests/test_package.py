@@ -1,5 +1,6 @@
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import kgbohm
@@ -54,3 +55,20 @@ def test_every_private_module_name_is_used():
         )
     ]
     assert defined and unused == []
+
+
+def test_thresholds_reach_verdicts_only_as_tolerances():
+    # a verdict function takes a Tolerances, whose __post_init__ is the one
+    # check of a tolerance, never a bare float; the defaults are its fields
+    bare = {"tol", "ortho_tol", "node_tol"}
+    found = []
+    for path in Path(kgbohm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found += [(path.name, p.arg) for p in params if p and p.arg in bare]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                if re.fullmatch(r"DEFAULT_\w+_TOL", node.id):
+                    found.append((path.name, node.id))
+    assert found == []

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kgbohm import (
     FourVector,
     PlaneWaveMode,
     Superposition,
+    Tolerances,
     counterexample,
     inner,
     load_superposition,
@@ -31,6 +33,41 @@ class TestValidation:
         for m in (math.inf, math.nan):
             with pytest.raises(ValueError, match="mass"):
                 Superposition(mass=m, modes=(PlaneWaveMode(k=k, c=1 + 0j),))
+
+    def test_bool_mass_refused(self):
+        # the rule of Tolerances: a bool is not a positive finite number
+        k = FourVector(1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="mass"):
+            Superposition(mass=True, modes=(PlaneWaveMode(k=k, c=1 + 0j),))
+
+    @pytest.mark.parametrize(
+        "build, refusal",
+        [
+            (
+                lambda: Superposition(
+                    mass=1.0, modes=(PlaneWaveMode(k=(1.0, 0.0, 0.0, 0.0), c=1j),)
+                ),
+                "mode 0: k must be a FourVector",
+            ),
+            (
+                lambda: Superposition(
+                    mass=1.0,
+                    modes=(PlaneWaveMode(FourVector(1.0, 0.0, 0.0, 0.0), math.inf + 0j),),
+                ),
+                "mode 0: amplitude is not finite",
+            ),
+            (lambda: Superposition.from_dict([1.0]), "must be a JSON object"),
+            (lambda: Superposition.from_dict({"mass": 1.0}), "missing 'modes' list"),
+            (
+                lambda: Superposition.from_dict({"mass": 1.0, "modes": [[1, 0, 0, 0]]}),
+                "mode 0: entry must be an object",
+            ),
+        ],
+        ids=["k_tuple", "amplitude_inf", "not_object", "no_modes", "entry"],
+    )
+    def test_malformed_mode_or_config_refused(self, build, refusal):
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            build()
 
     def test_needs_at_least_one_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -183,9 +220,9 @@ class TestPolarGradients:
 
     def test_node_threshold_is_relative_to_amplitude_sum(self, cx):
         # |psi(0)| / sum|c| ~ 0.47, so a 0.5 threshold trips and 0.4 does not
-        pol = cx.polar_gradients(ORIGIN, node_tol=0.4)
+        pol = cx.polar_gradients(ORIGIN, Tolerances(node=0.4))
         assert isinstance(pol.p_mu, FourVector) and isinstance(pol.s_mu, FourVector)
-        pol = cx.polar_gradients(ORIGIN, node_tol=0.5)
+        pol = cx.polar_gradients(ORIGIN, Tolerances(node=0.5))
         assert pol.p_mu is None and pol.s_mu is None
 
 
@@ -294,3 +331,7 @@ class TestCounterexampleBuilder:
     def test_mass_must_be_positive(self):
         with pytest.raises(ValueError):
             counterexample(0.0)
+
+    def test_bool_mass_refused(self):
+        with pytest.raises(ValueError, match="mass"):
+            counterexample(True)
