@@ -21,8 +21,10 @@ the nodal set where the polar split itself is undefined.
 No fallback velocity is invented for the broken cases; exposing them is
 the point. Every event gets a verdict, and the node and p.s ~ 0 cases are
 values all the way down, never exceptions: polar_gradients gives no p and
-s on the nodal set, theta gives None where p.s ~ 0, and analyze_point and
-classify_pair turn those into the NODE and ORTHOGONAL_DEGENERATE verdicts.
+s on the nodal set, theta gives None where p.s ~ 0, and analyze_point turns
+those into the NODE and ORTHOGONAL_DEGENERATE verdicts. One scalar sequence,
+_candidates, decides a single (p, s) pair for analyze_point and the
+trajectory stages.
 
 classify_batch is the same verdict on N pairs at once, for the bulk paths
 (measure, sample-pairs, scan). It applies the scalar path's thresholds to
@@ -64,7 +66,6 @@ __all__ = [
     "theta",
     "w_fields",
     "select",
-    "classify_pair",
     "classify_batch",
     "analyze_point",
 ]
@@ -204,24 +205,13 @@ def select(class_plus: CausalClass, class_minus: CausalClass) -> Selection:
     return Selection.BOTH_SPACELIKE
 
 
-def classify_pair(
-    p: FourVector, s: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
-) -> Selection:
-    """Classify a raw (p, s) pair through theta, the candidates, and select.
-
-    Lightweight path for pair-space sampling; the excluded p.s ~ 0 case
-    is the ORTHOGONAL_DEGENERATE verdict.
-    """
-    return _candidates(p, s, tols)[-1]
-
-
 def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
     """(theta, w_plus, w_minus, class_plus, class_minus, selection) for the
     pair (p, s); where p.s ~ 0 the selection is ORTHOGONAL_DEGENERATE and
     the other five are None.
 
     The one scalar sequence theta -> w_fields -> causal_class x2 -> select,
-    shared by classify_pair, analyze_point and the trajectory stages.
+    shared by analyze_point and the trajectory stages.
     """
     th = theta(p, s, tols)
     if th is None:
@@ -238,7 +228,7 @@ _CODE = {sel: i for i, sel in enumerate(Selection)}  # classify_batch's verdict 
 def classify_batch(
     p: np.ndarray, s: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """classify_pair on every row of the gradient pairs p, s (N, 4).
+    """_candidates' verdict on every row of the gradient pairs p, s (N, 4).
 
     Returns (codes, theta, w_plus_sq, w_minus_sq): codes index
     tuple(Selection); theta and the (unscaled) candidate norms w.w are NaN
@@ -246,7 +236,7 @@ def classify_batch(
     operations in its order, and a row theta or causal_class would rescale
     is rescaled the same way; only numpy's arcsinh and exp may differ from
     math's in the last bit. On the first row, in row order, where
-    classify_pair raises, raises the same error.
+    _candidates raises, raises the same error.
     """
     import numpy as np
 

@@ -47,7 +47,6 @@ class FieldOverflowError(KgBohmError):
     """exp(|theta|) is not representable in double precision."""
 
     def __init__(self, theta: float):
-        self.theta = theta
         super().__init__(
             f"exp(theta) with theta = {theta!r} overflows double precision"
         )
@@ -58,8 +57,8 @@ class IllDefinedVelocityError(KgBohmError):
 
     Carries the selection verdict (both spacelike, boundary, orthogonal
     degenerate, or node) that made the velocity ill-defined. Raised only by
-    velocity() and by integrate at its start: a path that runs into such a
-    point ends with the verdict as its termination.
+    integrate, at its start: a path that runs into such a point later ends
+    with the verdict as its termination.
     """
 
     def __init__(self, selection: "Selection"):

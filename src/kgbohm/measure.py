@@ -18,8 +18,8 @@ being discarded, keeping totals conserved and biases visible.
 
 Verdicts come from the batch kernel (Superposition.polar_gradients_batch
 and construction.classify_batch), a chunk or a whole lattice at a time.
-The kernel decides every row, and raises where analyze_point or
-classify_pair would raise for that event.
+The kernel decides every row, and raises where the scalar path
+(analyze_point at an event, _candidates on a raw pair) would raise.
 """
 
 from __future__ import annotations

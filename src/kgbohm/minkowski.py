@@ -27,9 +27,7 @@ __all__ = [
     "PlaneClass",
     "FourVector",
     "inner",
-    "raise_index",
     "euclidean_sq",
-    "euclidean_norm",
     "causal_class",
     "plane_class",
 ]
@@ -116,25 +114,12 @@ def inner(a: FourVector, b: FourVector) -> float:
     return a[0] * b[0] - a[1] * b[1] - a[2] * b[2] - a[3] * b[3]
 
 
-def raise_index(v: FourVector) -> FourVector:
-    """Flip the index position: (c0, c1, c2, c3) -> (c0, -c1, -c2, -c3).
-
-    The metric is its own inverse up to index placement, so the same map
-    also lowers; it is an involution.
-    """
-    return FourVector(v.c0, -v.c1, -v.c2, -v.c3)
-
-
 def euclidean_sq(v: FourVector) -> float:
     """Component square sum c0^2 + c1^2 + c2^2 + c3^2 (tolerance scale).
 
     Like inner, also takes a (4, N) array of components.
     """
     return v[0] * v[0] + v[1] * v[1] + v[2] * v[2] + v[3] * v[3]
-
-
-def euclidean_norm(v: FourVector) -> float:
-    return math.sqrt(euclidean_sq(v))
 
 
 def _rescaled(*vs):

@@ -50,7 +50,6 @@ __all__ = [
     "TrajectoryConfig",
     "TrajectoryPoint",
     "TrajectoryResult",
-    "velocity",
     "integrate",
     "write_trajectory_csv",
 ]
@@ -141,28 +140,10 @@ def _stage(
     return FourVector(v[0] * f, -v[1] * f, -v[2] * f, -v[3] * f), w_sel, sel
 
 
-def velocity(
-    w: Superposition, x: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
-) -> FourVector:
-    """Unit future-pointing tangent at x (contravariant, u.u = 1, u0 > 0).
-
-    Selects the timelike candidate, raises its index, normalizes, and
-    orients it forward in time. Raises IllDefinedVelocityError carrying
-    the verdict when no unique timelike candidate exists, the nodal set
-    included; integrate's stages return that verdict as a value. Scaling
-    psi by a nonzero constant leaves the result unchanged (constants drop
-    out of grad(psi)/psi).
-    """
-    u, _, sel = _stage(w, x, tols)
-    if u is None:
-        raise IllDefinedVelocityError(sel)
-    return u
-
-
 def integrate(
     w: Superposition, x0: FourVector, cfg: TrajectoryConfig
 ) -> TrajectoryResult:
-    """Integrate dx/dtau = velocity(x) from x0 with fixed-step RK4.
+    """Integrate dx/dtau = u(x), the unit tangent, from x0 with fixed-step RK4.
 
     The result records every accepted point (x0 included) with its unit
     tangent, raw selected covector, verdict, and strictly increasing proper

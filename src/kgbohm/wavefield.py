@@ -29,6 +29,7 @@ from .minkowski import (
     Tolerances,
     _positive_finite,
     _rescaled,
+    euclidean_sq,
     inner,
 )
 
@@ -78,17 +79,19 @@ def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
             f"mode {index}: k0 = {mode.k.c0!r} violates the positive-energy "
             f"requirement k0 > 0"
         )
-    # Compared on k and m scaled together by one exact power of two, which
-    # moves neither side against the other, so squares that under- or
-    # overflow cannot pass an off-shell mode.
+    # Relative to the component square sum of k, which the rounding of k.k
+    # scales with, and compared on k and m scaled together by one exact
+    # power of two, which moves neither side against the other, so squares
+    # that under- or overflow cannot pass an off-shell mode.
     k, mv = _rescaled(mode.k, FourVector(mass, 0.0, 0.0, 0.0))
     m = mv.c0
     residual = inner(k, k) - m * m
-    if not abs(residual) <= ON_SHELL_RTOL * m * m:
-        rel = abs(residual) / (m * m) if m * m else math.inf
+    scale = euclidean_sq(k)
+    if not abs(residual) <= ON_SHELL_RTOL * scale:
+        rel = abs(residual) / scale if scale else math.inf
         raise ValueError(
-            f"mode {index}: off the mass shell: |k.k - m^2| / m^2 = {rel:.3e} "
-            f"exceeds {ON_SHELL_RTOL:.1e}"
+            f"mode {index}: off the mass shell: |k.k - m^2| / (k0^2 + k1^2 + "
+            f"k2^2 + k3^2) = {rel:.3e} exceeds {ON_SHELL_RTOL:.1e}"
         )
 
 
@@ -125,28 +128,6 @@ class Superposition:
             self, "_terms", tuple((*m.k, m.c, 1j * m.c) for m in modes)
         )
 
-    def evaluate(self, x: FourVector) -> complex:
-        """psi(x) = sum_i c_i exp(i k^(i) . x), plain covariant pairing."""
-        x0, x1, x2, x3 = x
-        total = 0j
-        for k0, k1, k2, k3, c, _ in self._terms:
-            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
-            total += c * complex(math.cos(phase), math.sin(phase))
-        return total
-
-    def gradient(self, x: FourVector) -> tuple[complex, complex, complex, complex]:
-        """Exact analytic gradient (d_mu psi)(x) = sum_i i c_i k^(i)_mu e^{i k.x}."""
-        x0, x1, x2, x3 = x
-        g0 = g1 = g2 = g3 = 0j
-        for k0, k1, k2, k3, _, ic in self._terms:
-            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
-            f = ic * complex(math.cos(phase), math.sin(phase))
-            g0 += f * k0
-            g1 += f * k1
-            g2 += f * k2
-            g3 += f * k3
-        return (g0, g1, g2, g3)
-
     def polar_gradients(
         self, x: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
     ) -> PolarGradients:
@@ -155,10 +136,11 @@ class Superposition:
         Where |psi| <= tols.node * sum_i |c_i| (the nodal set) p_mu and s_mu
         are None, as the batch kernel's node mask says; the threshold is
         relative to the maximum attainable |psi|, so nodal detection is
-        scale-free in the amplitudes. psi is evaluate's, bit for bit.
+        scale-free in the amplitudes. psi and the gradient are summed term
+        by term in mode order, so a plain loop over the modes gives the same
+        bits.
         """
-        # evaluate and gradient fused, one cos/sin per mode, each with its
-        # own operations in its own order, so the bits are theirs
+        # psi and the gradient fused, one cos/sin per mode
         x0, x1, x2, x3 = x
         psi = g0 = g1 = g2 = g3 = 0j
         for k0, k1, k2, k3, c, ic in self._terms:
@@ -190,9 +172,9 @@ class Superposition:
         Returns (psi, p, s, node): psi complex (N,), p and s (N, 4), and
         node, True where |psi| <= tols.node * sum_i |c_i|; p and s are NaN
         on those rows. psi and the gradient are accumulated mode by mode
-        in evaluate's order, and divided as Python divides complex numbers,
-        so every value equals the scalar path's wherever numpy's sin and cos
-        equal math's.
+        in polar_gradients' order, and divided as Python divides complex
+        numbers, so every value equals the scalar path's wherever numpy's sin
+        and cos equal math's.
         """
         import numpy as np
 
@@ -230,15 +212,6 @@ class Superposition:
         psi = np.empty(len(x), dtype=complex)
         psi.real, psi.imag = psi_re, psi_im
         return psi, p.T, s.T, node
-
-    def to_dict(self) -> dict:
-        return {
-            "mass": self.mass,
-            "modes": [
-                {"k": list(m.k), "c": [complex(m.c).real, complex(m.c).imag]}
-                for m in self.modes
-            ],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Superposition":

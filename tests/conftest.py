@@ -4,6 +4,7 @@ import math
 import pytest
 
 from kgbohm import FourVector, PlaneWaveMode, Superposition, counterexample
+from support import to_dict
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
 
@@ -63,7 +64,7 @@ def config_file(tmp_path):
 
     def write(sup, name="config.json"):
         path = tmp_path / name
-        path.write_text(json.dumps(sup.to_dict()))
+        path.write_text(json.dumps(to_dict(sup)))
         return path
 
     return write

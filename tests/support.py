@@ -1,9 +1,11 @@
-"""Shared builders for randomized test inputs."""
+"""Shared builders for randomized test inputs, and the test oracles: psi, its
+gradient, index raising, the config writer and the verdict of a raw pair."""
 
 import cmath
 import math
 
-from kgbohm import FourVector, PlaneWaveMode, Superposition
+from kgbohm import DEFAULT_TOLERANCES, FourVector, PlaneWaveMode, Superposition
+from kgbohm.construction import _candidates
 
 
 def random_superposition(rng, n_modes=None, mass_range=(0.5, 2.0), k_scale=1.5):
@@ -57,3 +59,54 @@ def two_mode_polar_oracle(k1, k2, c1, c2, x):
 def scaled(v, f):
     """The FourVector v with every component times f."""
     return FourVector(*(c * f for c in v))
+
+
+def evaluate(w, x):
+    """psi(x) = sum_i c_i exp(i k^(i) . x), plain covariant pairing."""
+    x0, x1, x2, x3 = x
+    total = 0j
+    for m in w.modes:
+        k0, k1, k2, k3 = m.k
+        phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
+        total += m.c * complex(math.cos(phase), math.sin(phase))
+    return total
+
+
+def gradient(w, x):
+    """Exact analytic gradient (d_mu psi)(x) = sum_i i c_i k^(i)_mu e^{i k.x}."""
+    x0, x1, x2, x3 = x
+    g0 = g1 = g2 = g3 = 0j
+    for m in w.modes:
+        k0, k1, k2, k3 = m.k
+        phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
+        f = 1j * m.c * complex(math.cos(phase), math.sin(phase))
+        g0 += f * k0
+        g1 += f * k1
+        g2 += f * k2
+        g3 += f * k3
+    return (g0, g1, g2, g3)
+
+
+def raise_index(v):
+    """Flip the index position: (c0, c1, c2, c3) -> (c0, -c1, -c2, -c3).
+
+    The metric is its own inverse up to index placement, so the same map
+    also lowers; it is an involution.
+    """
+    return FourVector(v.c0, -v.c1, -v.c2, -v.c3)
+
+
+def to_dict(w):
+    """The JSON config of a superposition, as load_superposition reads it."""
+    return {
+        "mass": w.mass,
+        "modes": [
+            {"k": list(m.k), "c": [complex(m.c).real, complex(m.c).imag]}
+            for m in w.modes
+        ],
+    }
+
+
+def classify_pair(p, s, tols=DEFAULT_TOLERANCES):
+    """The verdict of a raw (p, s) pair on the scalar path."""
+    return _candidates(p, s, tols)[-1]

@@ -16,7 +16,7 @@ from kgbohm import (
     inner,
     load_superposition,
 )
-from support import random_point, random_superposition
+from support import evaluate, gradient, random_point, random_superposition, to_dict
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
 
@@ -105,6 +105,30 @@ class TestValidation:
                 {"mass": 1, "modes": [{"k": [2e200, 1e200, 0, 0], "c": [1, 0]}]}
             )
 
+    @pytest.mark.parametrize("e", range(-3, 5))
+    def test_on_shell_band_scales_with_k(self, e):
+        # the rounding of k.k scales with k0^2 + |k|^2, not with m^2: a mode
+        # built from the shell passes at every |k|/m = 10^e, and one off by
+        # 1e-9 of that sum, either way, is refused
+        refusal = re.escape(
+            "mode 0: off the mass shell: "
+            "|k.k - m^2| / (k0^2 + k1^2 + k2^2 + k3^2) = "
+        )
+        rng = np.random.default_rng(e + 3)
+        for _ in range(200):
+            m = float(rng.uniform(0.5, 2.0))
+            kv = rng.normal(size=3)
+            kv *= 10.0**e * m / math.sqrt(kv @ kv)
+            k_sq = float(kv @ kv)
+            k0 = math.sqrt(m * m + k_sq)
+            Superposition(mass=m, modes=(PlaneWaveMode(FourVector(k0, *kv), 1j),))
+            for sign in (1.0, -1.0):
+                off = math.sqrt(m * m + k_sq + sign * 1e-9 * (k0 * k0 + k_sq))
+                with pytest.raises(ValueError, match=refusal):
+                    Superposition(
+                        mass=m, modes=(PlaneWaveMode(FourVector(off, *kv), 1j),)
+                    )
+
     def test_on_shell_tolerance_is_relative(self):
         # sqrt introduces one rounding; must still validate at any mass scale
         for m in (1e-6, 1.0, 1e6):
@@ -124,10 +148,10 @@ class TestEvaluation:
         x = FourVector(0.3, -0.2, 5.0, -7.0)
         # phase is the plain component pairing, not the Minkowski form
         phase = 2.0 * 0.3 + 1.0 * (-0.2)
-        assert w.evaluate(x) == complex(0.5, 0.5) * cmath.exp(1j * phase)
+        assert evaluate(w, x) == complex(0.5, 0.5) * cmath.exp(1j * phase)
 
     def test_value_at_origin_is_coefficient_sum(self, cx):
-        got = cx.evaluate(ORIGIN)
+        got = evaluate(cx, ORIGIN)
         assert got == pytest.approx(complex(3.0 - 1.0 / math.sqrt(3.0), 0.0), rel=1e-15)
 
     def test_gradient_matches_central_difference(self):
@@ -136,18 +160,18 @@ class TestEvaluation:
         for _ in range(20):
             w = random_superposition(rng)
             x = random_point(rng)
-            grad = w.gradient(x)
+            grad = gradient(w, x)
             scale = sum(abs(g) for g in grad) + 1.0
             for mu in range(4):
                 step = [0.0] * 4
                 step[mu] = h
                 xp = FourVector(*(a + s for a, s in zip(x, step)))
                 xm = FourVector(*(a - s for a, s in zip(x, step)))
-                fd = (w.evaluate(xp) - w.evaluate(xm)) / (2.0 * h)
+                fd = (evaluate(w, xp) - evaluate(w, xm)) / (2.0 * h)
                 assert abs(fd - grad[mu]) <= 1e-6 * scale
 
     def test_gradient_at_origin_is_coefficient_weighted_wave_sum(self, cx):
-        grad = cx.gradient(ORIGIN)
+        grad = gradient(cx, ORIGIN)
         for mu in range(4):
             expect = 1j * sum(md.c * md.k[mu] for md in cx.modes)
             assert grad[mu] == pytest.approx(expect, abs=1e-15)
@@ -163,11 +187,13 @@ class TestEvaluation:
             xp = FourVector(*(a + s for a, s in zip(x, step)))
             xm = FourVector(*(a - s for a, s in zip(x, step)))
             return (
-                two_mode.evaluate(xp) - 2.0 * two_mode.evaluate(x) + two_mode.evaluate(xm)
+                evaluate(two_mode, xp)
+                - 2.0 * evaluate(two_mode, x)
+                + evaluate(two_mode, xm)
             ) / (h * h)
 
         box = second(0) - second(1) - second(2) - second(3)
-        assert box == pytest.approx(-two_mode.evaluate(x), rel=1e-5)
+        assert box == pytest.approx(-evaluate(two_mode, x), rel=1e-5)
 
 
 class TestPolarGradients:
@@ -177,8 +203,8 @@ class TestPolarGradients:
             w = random_superposition(rng)
             x = random_point(rng)
             pol = w.polar_gradients(x)
-            psi = w.evaluate(x)
-            grad = w.gradient(x)
+            psi = evaluate(w, x)
+            grad = gradient(w, x)
             for mu in range(4):
                 ratio = grad[mu] / psi
                 assert pol.p_mu[mu] == pytest.approx(ratio.real, abs=1e-12)
@@ -194,7 +220,7 @@ class TestPolarGradients:
             step[mu] = h
             xp = FourVector(*(a + s for a, s in zip(x, step)))
             xm = FourVector(*(a - s for a, s in zip(x, step)))
-            ratio = cx.evaluate(xp) / cx.evaluate(xm)
+            ratio = evaluate(cx, xp) / evaluate(cx, xm)
             dlog = cmath.log(ratio) / (2.0 * h)
             assert pol.p_mu[mu] == pytest.approx(dlog.real, abs=1e-5)
             assert pol.s_mu[mu] == pytest.approx(dlog.imag, abs=1e-5)
@@ -214,7 +240,7 @@ class TestPolarGradients:
             assert a.s_mu[mu] == pytest.approx(b.s_mu[mu], abs=1e-12)
 
     def test_node_everywhere_field_has_no_split(self, null_field):
-        assert null_field.evaluate(ORIGIN) == 0j
+        assert evaluate(null_field, ORIGIN) == 0j
         pol = null_field.polar_gradients(ORIGIN)
         assert pol.psi == 0j and pol.p_mu is None and pol.s_mu is None
 
@@ -236,7 +262,7 @@ class TestModeTerms:
         assert again == cx
         assert hash(cx) == hash(again) == hash((cx.mass, cx.modes))
         assert repr(cx) == f"Superposition(mass={cx.mass!r}, modes={cx.modes!r})"
-        assert cx.to_dict() == {
+        assert to_dict(cx) == {
             "mass": cx.mass,
             "modes": [
                 {"k": list(m.k), "c": [m.c.real, m.c.imag]} for m in cx.modes
@@ -250,7 +276,7 @@ class TestModeTerms:
         w = dataclasses.replace(cx, mass=2.0, modes=heavy.modes)
         x = FourVector(0.3, -0.2, 0.1, 0.4)
         assert w == heavy
-        assert w.evaluate(x) == heavy.evaluate(x) != cx.evaluate(x)
+        assert evaluate(w, x) == evaluate(heavy, x) != evaluate(cx, x)
         assert w.polar_gradients(x) == heavy.polar_gradients(x)
 
     def test_polar_gradients_agree_with_evaluate_and_gradient_bitwise(self):
@@ -262,9 +288,9 @@ class TestModeTerms:
         for _ in range(50):
             x = random_point(rng)
             pol = w.polar_gradients(x)
-            psi = w.evaluate(x)
+            psi = evaluate(w, x)
             assert bits(pol.psi) == bits(psi)
-            ratios = [g / psi for g in w.gradient(x)]
+            ratios = [g / psi for g in gradient(w, x)]
             assert bits(*ratios) == bits(
                 *(complex(a, b) for a, b in zip(pol.p_mu, pol.s_mu))
             )
@@ -272,11 +298,11 @@ class TestModeTerms:
 
 class TestSerialization:
     def test_round_trip(self, two_mode):
-        again = Superposition.from_dict(two_mode.to_dict())
+        again = Superposition.from_dict(to_dict(two_mode))
         assert again == two_mode
 
     def test_dict_shape(self, cx):
-        d = cx.to_dict()
+        d = to_dict(cx)
         assert set(d) == {"mass", "modes"}
         assert len(d["modes"]) == 3
         assert set(d["modes"][0]) == {"k", "c"}
@@ -295,7 +321,7 @@ class TestSerialization:
         ],
     )
     def test_from_dict_validation(self, cx, mutate, message):
-        d = cx.to_dict()
+        d = to_dict(cx)
         mutate(d)
         with pytest.raises(ValueError, match=message):
             Superposition.from_dict(d)
