@@ -17,9 +17,13 @@ Near-node and degenerate samples land in their own buckets rather than
 being discarded, keeping totals conserved and biases visible.
 
 Verdicts come from the batch kernel (Superposition.polar_gradients_batch
-and construction.classify_batch), a chunk or a whole lattice at a time.
-The kernel decides every row, and raises where the scalar path
-(analyze_point at an event, _candidates on a raw pair) would raise.
+and construction.classify_batch) a chunk at a time. A grid scan takes
+Superposition.polar_gradients_lattice instead, which builds the wave from
+one exponential per mode and axis value; its theta and norms may differ
+from the event kernel's in the last bits, its verdicts only within the
+tolerance bands. The kernel decides every row, and raises where the
+scalar path (analyze_point at an event, _candidates on a raw pair) would
+raise.
 """
 
 from __future__ import annotations
@@ -117,8 +121,10 @@ class ScanResult:
 
     The lattice is the product of the four axes (x0 slowest). codes index
     TALLY_KEYS; theta, w_plus_sq and w_minus_sq are NaN on node and
-    degenerate cells. Equality is identity: array fields have no single
-    truth value to compare by.
+    degenerate cells. The arrays come from the lattice path, so they are
+    reproducible bit for bit, but can differ in the last bits from the
+    event path at the same points. Equality is identity: array fields
+    have no single truth value to compare by.
     """
 
     axes: tuple[tuple[float, ...], ...]
@@ -156,7 +162,13 @@ def _verdicts(
 
     Node rows carry NaN numerics, like p.s ~ 0 rows.
     """
-    _, p, s, node = w.polar_gradients_batch(x, tols)
+    return _classified(*w.polar_gradients_batch(x, tols)[1:], tols)
+
+
+def _classified(
+    p: np.ndarray, s: np.ndarray, node: np.ndarray, tols: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """classify_batch on the polar gradients (N, 4), with node rows relabelled."""
     p[node] = s[node] = 0.0  # NaN there; a zero pair is degenerate, then relabelled
     codes, th, wp_sq, wm_sq = classify_batch(p, s, tols)
     codes[node] = _NODE
@@ -251,16 +263,13 @@ def grid_scan(
     the verdict code, theta, and the two candidate quadratic forms; node
     and degenerate rows carry NaN numerics.
     """
-    import numpy as np
-
     res = tuple(int(r) for r in resolution)
     if len(res) != 4 or any(r < 1 for r in res):
         raise ValueError(f"resolution must be 4 integers >= 1, got {resolution!r}")
     axes = tuple(
         _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
     )
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    return ScanResult(axes, *_verdicts(w, x, tols))
+    return ScanResult(axes, *_classified(*w.polar_gradients_lattice(axes, tols)[1:], tols))
 
 
 def write_scan_csv(scan: ScanResult, path: str | Path) -> None:

@@ -44,6 +44,12 @@ __all__ = [
 
 ON_SHELL_RTOL = 1e-12
 
+# Complex entries (modes times cells) of one block of a lattice evaluation;
+# a block is whole leading-axis slices, at least one. 1 MiB of terms stays
+# in cache: a 20^4 lattice of 24 modes ran about 1.6x faster than in
+# blocks of 2^20 entries, and memory stays flat in the lattice size.
+_LATTICE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class PlaneWaveMode:
@@ -198,19 +204,56 @@ class Superposition:
                 k_col = np.array((k0, k1, k2, k3))[:, None]
                 g_re -= k_col * term_im
                 g_im += k_col * term_re
-            # Smith's division, as CPython's complex g / psi does it
-            swap = np.abs(psi_re) < np.abs(psi_im)
-            ratio = np.where(swap, psi_re / psi_im, psi_im / psi_re)
-            denom = np.where(swap, psi_re * ratio + psi_im, psi_re + psi_im * ratio)
-            u = np.where(swap, g_im, g_re)
-            v = np.where(swap, g_re, g_im)
-            p = (u + v * ratio) / denom
-            s = (v - u * ratio) / np.where(swap, -denom, denom)
-            node = np.hypot(psi_re, psi_im) <= tols.node * self.amp_sum
-        p[:, node] = np.nan
-        s[:, node] = np.nan
+        p, s, node = _polar_split(psi_re, psi_im, g_re, g_im, tols.node * self.amp_sum)
         psi = np.empty(len(x), dtype=complex)
         psi.real, psi.imag = psi_re, psi_im
+        return psi, p.T, s.T, node
+
+    def polar_gradients_lattice(
+        self, axes, tols: Tolerances = DEFAULT_TOLERANCES
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """polar_gradients_batch on the lattice of four axes, one row per
+        point in row-major order (x0 slowest).
+
+        exp(i k.x) is the product of exp(i k_mu x^mu) over the axes, so each
+        mode needs one complex exponential per axis value, not a cos and a
+        sin per cell. The products differ from polar_gradients_batch's sums
+        in the last bits; the node mask and the division are the same.
+        """
+        import numpy as np
+
+        axes = [np.asarray(a, dtype=float) for a in axes]
+        if len(axes) != 4 or any(a.ndim != 1 or a.size < 1 for a in axes):
+            raise ValueError("a lattice needs four non-empty 1-D axes")
+        k = np.array([t[:4] for t in self._terms])
+        c = np.array([t[4] for t in self._terms])
+        r0, r1, r2, r3 = map(len, axes)
+        psi = np.empty(r0 * r1 * r2 * r3, dtype=complex)
+        p = np.empty((4, len(psi)))
+        s = np.empty((4, len(psi)))
+        node = np.empty(len(psi), dtype=bool)
+        # psi is the sum of the terms, and d_mu psi / i their sum weighted by k_mu
+        weights = np.concatenate([np.ones((1, len(c))), k.T])
+        cells = r1 * r2 * r3
+        step = max(1, _LATTICE_BLOCK // (len(c) * cells))  # leading slices per block
+        with np.errstate(all="ignore"):
+            e0, e1, e2, e3 = (
+                np.exp(1j * np.multiply.outer(k[:, mu], a)) for mu, a in enumerate(axes)
+            )
+            ce0 = c[:, None] * e0
+            for start in range(0, r0, step):
+                terms = ce0[:, start : start + step, None] * e1[:, None, :]
+                terms = terms[..., None] * e2[:, None, None, :]
+                terms = (terms[..., None] * e3[:, None, None, None, :]).reshape(len(c), -1)
+                rows = slice(start * cells, start * cells + terms.shape[1])
+                # real weights on the terms' (re, im) pairs: a quarter of the
+                # products of a complex contraction
+                psi_g = np.einsum("km,mn->kn", weights, terms.view(float)).view(complex)
+                psi[rows], g = psi_g[0], psi_g[1:]
+                # the gradient is i times the k-weighted sums: an exact swap
+                p[:, rows], s[:, rows], node[rows] = _polar_split(
+                    psi[rows].real, psi[rows].imag, -g.imag, g.real, tols.node * self.amp_sum
+                )
         return psi, p.T, s.T, node
 
     @classmethod
@@ -234,6 +277,27 @@ class Superposition:
             c = _numbers(entry.get("c"), 2, f"mode {i}: 'c' must be [re, im]")
             modes.append(PlaneWaveMode(k=FourVector(*k), c=complex(*c)))
         return cls(mass=mass, modes=tuple(modes))
+
+
+def _polar_split(psi_re, psi_im, g_re, g_im, node_thr: float):
+    """p and s (4, N) from psi (N,) and its gradient (4, N), split into real
+    and imaginary parts, and the node mask |psi| <= node_thr; p and s are NaN
+    on node rows."""
+    import numpy as np
+
+    with np.errstate(all="ignore"):
+        # Smith's division, as CPython's complex g / psi does it
+        swap = np.abs(psi_re) < np.abs(psi_im)
+        ratio = np.where(swap, psi_re / psi_im, psi_im / psi_re)
+        denom = np.where(swap, psi_re * ratio + psi_im, psi_re + psi_im * ratio)
+        u = np.where(swap, g_im, g_re)
+        v = np.where(swap, g_re, g_im)
+        p = (u + v * ratio) / denom
+        s = (v - u * ratio) / np.where(swap, -denom, denom)
+        node = np.hypot(psi_re, psi_im) <= node_thr
+    p[:, node] = np.nan
+    s[:, node] = np.nan
+    return p, s, node
 
 
 def _numbers(values, count: int, refusal: str) -> list[float]:

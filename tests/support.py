@@ -1,11 +1,27 @@
 """Shared builders for randomized test inputs, and the test oracles: psi, its
-gradient, index raising, the config writer and the verdict of a raw pair."""
+gradient, index raising, the config writer, the verdict of a raw pair and
+the lattice path against the event path."""
 
 import cmath
 import math
 
-from kgbohm import DEFAULT_TOLERANCES, FourVector, PlaneWaveMode, Superposition
+import numpy as np
+
+from kgbohm import (
+    DEFAULT_TOLERANCES,
+    FourVector,
+    PlaneWaveMode,
+    Superposition,
+    euclidean_sq,
+    grid_scan,
+    inner,
+)
 from kgbohm.construction import _candidates
+from kgbohm.measure import _axis_coords, _verdicts
+
+BAND = 10.0  # a margin within this factor of its tolerance edge is in the band
+PS_UNITS = 1e-12  # p and s bound, in units of amp_sum * max|k| / |psi|
+RTOL = 1e-10
 
 
 def random_superposition(rng, n_modes=None, mass_range=(0.5, 2.0), k_scale=1.5):
@@ -110,3 +126,62 @@ def to_dict(w):
 def classify_pair(p, s, tols=DEFAULT_TOLERANCES):
     """The verdict of a raw (p, s) pair on the scalar path."""
     return _candidates(p, s, tols)[-1]
+
+
+def near(value, scale, tol):
+    """|value| within a factor BAND of the tolerance edge tol * scale, per row."""
+    return (tol * scale / BAND < np.abs(value)) & (np.abs(value) <= BAND * tol * scale)
+
+
+def check_lattice(w, region, resolution, tols=DEFAULT_TOLERANCES):
+    """Assert grid_scan's lattice contract against the event path, which is
+    polar_gradients_batch and _verdicts on the meshgrid of the same axes:
+
+    - p and s agree within PS_UNITS * amp_sum * max|k| / |psi| off the nodes;
+    - codes are equal wherever every margin lies outside BAND times its
+      tolerance;
+    - theta and the candidate norms w.w agree within RTOL relative (to |theta|
+      and to w's component square sum), plus the first-order change that
+      the p and s bound allows. theta = arcsinh((p.p - s.s) / 2 p.s) is
+      ill-conditioned where p.s is small, so that term can exceed RTOL
+      outside the band.
+
+    Returns the number of rows whose codes were compared.
+    """
+    axes = [_axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    psi, p, s, node = w.polar_gradients_batch(x, tols)
+    _, p_l, s_l, node_l = w.polar_gradients_lattice(axes, tols)
+    codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
+    scan = grid_scan(w, region, resolution, tols)
+    assert scan.axes == tuple(axes)
+
+    k_max = max(math.sqrt(euclidean_sq(m.k)) for m in w.modes)
+    live = ~node & ~node_l
+    with np.errstate(all="ignore"):
+        unit = w.amp_sum * k_max / np.abs(psi)
+        assert (np.abs(p_l - p)[live].max(axis=1, initial=0.0) <= PS_UNITS * unit[live]).all()
+        assert (np.abs(s_l - s)[live].max(axis=1, initial=0.0) <= PS_UNITS * unit[live]).all()
+
+        p, s = p.T, s.T  # one row per component, as inner reads them
+        pn, sn, q = np.sqrt(euclidean_sq(p)), np.sqrt(euclidean_sq(s)), inner(p, s)
+        band = near(psi, w.amp_sum, tols.node) | near(q, pn * sn, tols.ortho)
+        # candidates exp(th) p + s and -exp(-th) p + s, as b p + s
+        cands = [(np.exp(th), wp_sq, scan.w_plus_sq), (-np.exp(-th), wm_sq, scan.w_minus_sq)]
+        for b, w_sq, _ in cands:
+            band |= near(w_sq, euclidean_sq(b * p + s), tols.causal)
+        assert np.array_equal(scan.codes[~band], codes[~band])
+
+        # first-order bounds for |dp|, |ds| <= eps * m, with m = max(|p|, |s|)
+        m = np.maximum(pn, sn)
+        eps = PS_UNITS * unit / m
+        X = (inner(p, p) - inner(s, s)) / (2.0 * q)
+        k_th = m * (pn + sn) * (1.0 + np.abs(X)) / (np.abs(q) * np.sqrt(1.0 + X * X))
+        rows = ~band & np.isfinite(th)
+        assert (np.abs(scan.theta - th) <= RTOL * np.abs(th) + eps * k_th)[rows].all()
+        for b, w_sq, got in cands:
+            k_w = 2.0 * m * (b * b * pn + np.abs(b) * (pn + sn) + sn)
+            k_w += 2.0 * np.abs(b) * np.abs(b * inner(p, p) + q) * k_th
+            bound = RTOL * euclidean_sq(b * p + s) + eps * k_w
+            assert (np.abs(got - w_sq) <= bound)[rows].all()
+    return int((~band).sum())

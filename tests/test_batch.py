@@ -4,19 +4,24 @@ polar_gradients_batch and classify_batch compute the scalar path's
 quantities on arrays. Verdicts must agree on every row whose margins lie
 outside 10x every tolerance; theta and the candidate norms within 1e-10
 relative. The kernel decides every row itself, and raises the scalar
-path's error where the scalar path raises.
+path's error where the scalar path raises. The lattice path that grid_scan
+takes is checked against this event path on the same points
+(support.check_lattice), against a np.longdouble reference, and under
+translation.
 """
 
+import cmath
 import itertools
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import kgbohm.construction
 import kgbohm.measure
+import kgbohm.wavefield
 from kgbohm import (
     DEFAULT_TOLERANCES,
     BothTimelikeError,
@@ -42,6 +47,7 @@ from kgbohm import (
 from kgbohm.construction import classify_batch
 from kgbohm.minkowski import _rescaled
 from support import (
+    check_lattice,
     classify_pair,
     evaluate,
     raise_index,
@@ -500,8 +506,141 @@ def test_grid_scan_matches_analyze_point(cx):
         assert close(wm_sq, inner(a.w_minus, a.w_minus), euclidean_sq(a.w_minus))
 
 
+# Each wave on boxes of unit width offset up to +-10, on an even and an
+# uneven lattice: far from the origin, the event path's phase sums round
+# at the size of the phase, while the lattice rounds each axis factor.
+WAVES = {"counterexample": counterexample, **{f"packet{i}": lambda i=i: packet(i) for i in range(4)}}
+OFFSETS = np.random.default_rng(17).uniform(-10.0, 10.0, size=(len(WAVES), 4))
+LATTICE_CASES = [
+    pytest.param(
+        name,
+        Region(FourVector(*(o - 0.5).tolist()), FourVector(*(o + 0.5).tolist())),
+        res,
+        id=f"{name}-{'x'.join(map(str, res))}",
+    )
+    for name, o in zip(WAVES, OFFSETS)
+    for res in [(6, 6, 6, 6), (7, 5, 4, 3)]
+]
+
+
+@pytest.mark.parametrize("name,region,resolution", LATTICE_CASES)
+def test_lattice_matches_the_event_path_off_the_origin(name, region, resolution):
+    compared = check_lattice(WAVES[name](), region, resolution)
+    assert compared > 0.9 * math.prod(resolution)
+
+
+def longdouble_polar(w, x):
+    """psi, p and s at the events x (N, 4), summed in np.longdouble."""
+    x = np.asarray(x, dtype=np.longdouble)
+    psi = np.zeros(len(x), dtype=np.clongdouble)
+    g = np.zeros((len(x), 4), dtype=np.clongdouble)
+    for m in w.modes:
+        k = np.array(tuple(m.k), dtype=np.longdouble)
+        phase = (x * k).sum(axis=1)
+        term = np.clongdouble(m.c) * (np.cos(phase) + 1j * np.sin(phase))
+        psi += term
+        g += 1j * term[:, None] * k
+    r = g / psi[:, None]
+    return psi, r.real, r.imag
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 60, reason="np.longdouble is no wider than a float"
+)
+def test_lattice_path_is_as_accurate_as_the_event_path():
+    # max error of p and s over every case, in units of amp_sum max|k| / |psi|
+    worst = {"event": 0.0, "lattice": 0.0}
+    for name, region, resolution in (case.values for case in LATTICE_CASES):
+        w = WAVES[name]()
+        axes = [
+            kgbohm.measure._axis_coords(region.lo[i], region.hi[i], resolution[i])
+            for i in range(4)
+        ]
+        x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        psi, p_ref, s_ref = longdouble_polar(w, x)
+        k_max = max(math.sqrt(euclidean_sq(m.k)) for m in w.modes)
+        unit = w.amp_sum * k_max / np.abs(psi).astype(float)
+        for path, (_, p, s, node) in [
+            ("event", w.polar_gradients_batch(x)),
+            ("lattice", w.polar_gradients_lattice(axes)),
+        ]:
+            err = np.maximum(np.abs(p - p_ref).max(axis=1), np.abs(s - s_ref).max(axis=1))
+            worst[path] = max(worst[path], float((err.astype(float) / unit)[~node].max()))
+    assert 0.0 < worst["lattice"] <= worst["event"] < 1e-12
+
+
+@pytest.mark.parametrize("block", [1, 24 * 60 * 2])
+def test_lattice_blocks_give_the_same_bits(monkeypatch, block):
+    # 7 x 5 x 4 x 3 cells of 24 modes: a block of 24 * 60 * 2 entries holds
+    # two leading slices, and one smaller than a slice still holds one
+    w = packet(0)
+    axes = [tuple(np.linspace(-1.0, 1.0, r, endpoint=False).tolist()) for r in (7, 5, 4, 3)]
+    whole = w.polar_gradients_lattice(axes)
+    shapes = []
+    einsum = np.einsum
+
+    def spy(subscripts, weights, terms):
+        shapes.append(terms.shape)
+        return einsum(subscripts, weights, terms)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(kgbohm.wavefield, "_LATTICE_BLOCK", block)
+    split = w.polar_gradients_lattice(axes)
+    slices = [2, 2, 2, 1] if block > 1 else [1] * 7
+    # the terms reach einsum as (re, im) pairs, two floats per cell
+    assert shapes == [(24, 2 * 60 * n) for n in slices]
+    for a, b in zip(whole, split):
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+shifts = st.lists(
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False), min_size=4, max_size=4
+)
+
+
+def robust_codes(w, region, resolution):
+    """grid_scan's codes, and where they stay the same with every
+    tolerance divided and multiplied by 1e3."""
+    def codes(f):
+        t = Tolerances(causal=TOLS.causal * f, ortho=TOLS.ortho * f, node=TOLS.node * f)
+        return grid_scan(w, region, resolution, t).codes
+
+    want = codes(1.0)
+    return want, (codes(1e-3) == want) & (codes(1e3) == want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shifts, st.sampled_from(["counterexample", "packet0"]))
+def test_translated_scan_keeps_its_verdicts(a, name):
+    # psi'(x + a) = psi(x) for c_i -> c_i exp(-i k_i.a), so the scan of the
+    # shifted box with the shifted amplitudes has the same verdicts. A sign
+    # or an index wrong in the per-axis factors breaks this.
+    w = WAVES[name]()
+    moved = Superposition(
+        mass=w.mass,
+        modes=tuple(
+            PlaneWaveMode(m.k, m.c * cmath.exp(-1j * sum(k * s for k, s in zip(m.k, a))))
+            for m in w.modes
+        ),
+    )
+    box = Region(
+        FourVector(*(u + s for u, s in zip(BOX.lo, a))),
+        FourVector(*(u + s for u, s in zip(BOX.hi, a))),
+    )
+    resolution = (4, 3, 4, 5)
+    codes, robust = robust_codes(w, BOX, resolution)
+    moved_codes, moved_robust = robust_codes(moved, box, resolution)
+    both = robust & moved_robust
+    assert both.sum() >= 0.9 * codes.size
+    assert np.array_equal(moved_codes[both], codes[both])
+
+
 def test_batch_inputs_are_checked(cx):
     with pytest.raises(ValueError):
         cx.polar_gradients_batch(np.zeros((3, 3)))
+    with pytest.raises(ValueError):
+        cx.polar_gradients_lattice([(0.0,), (0.0,), (0.0,)])
+    with pytest.raises(ValueError):
+        cx.polar_gradients_lattice([(0.0,), (0.0,), (0.0,), ()])
     with pytest.raises(ValueError):
         classify_batch(np.zeros((3, 4)), np.zeros((2, 4)))

@@ -20,7 +20,7 @@ from kgbohm import (
     write_scan_csv,
 )
 from kgbohm.measure import _axis_coords, _verdicts
-from support import random_superposition
+from support import check_lattice, random_superposition
 
 BOX = Region(FourVector(-0.5, -0.5, -0.5, -0.5), FourVector(0.5, 0.5, 0.5, 0.5))
 
@@ -281,25 +281,19 @@ class TestGridScan:
         assert float(row[5]) == scan.theta[0]
 
 
-def oracle_cells(w, region, resolution, tols):
-    """The scan's rows as (x0, x1, x2, x3, selection, theta, w_plus_sq,
-    w_minus_sq) tuples, built one by one from the meshgrid and _verdicts."""
-    axes = [_axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)]
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    codes, th, wp_sq, wm_sq = _verdicts(w, x, tols)
-    return [
-        (*xs, TALLY_KEYS[c], *numerics)
-        for xs, c, *numerics in zip(
-            x.tolist(), codes.tolist(), th.tolist(), wp_sq.tolist(), wm_sq.tolist()
-        )
-    ]
-
-
-def oracle_csv(cells):
-    """The CSV as a per-cell f-string loop writes it."""
+def oracle_csv(scan):
+    """The scan's CSV as a per-cell f-string loop writes it, on the meshgrid
+    of its axes."""
+    x = np.stack(np.meshgrid(*scan.axes, indexing="ij"), axis=-1).reshape(-1, 4)
     rows = [
-        f"{x0!r},{x1!r},{x2!r},{x3!r},{sel},{th!r},{wp_sq!r},{wm_sq!r}\n"
-        for x0, x1, x2, x3, sel, th, wp_sq, wm_sq in cells
+        f"{x0!r},{x1!r},{x2!r},{x3!r},{TALLY_KEYS[code]},{th!r},{wp_sq!r},{wm_sq!r}\n"
+        for (x0, x1, x2, x3), code, th, wp_sq, wm_sq in zip(
+            x.tolist(),
+            scan.codes.tolist(),
+            scan.theta.tolist(),
+            scan.w_plus_sq.tolist(),
+            scan.w_minus_sq.tolist(),
+        )
     ]
     return "x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq\n" + "".join(rows)
 
@@ -308,44 +302,45 @@ WIDE = Tolerances(causal=0.3, ortho=0.2, node=0.3)
 NEG_ZERO_BOX = Region(FourVector(-0.0, -0.0, -0.0, -0.0), FourVector(1.0, 0.3, 2.5, 1e-3))
 # numpy scalar corners, whose repr is not a float's
 NUMPY_BOX = Region(FourVector(*np.full(4, -0.5)), FourVector(*np.full(4, 0.5)))
+SCAN_CASES = [
+    ("cx", BOX, (1, 1, 1, 1), DEFAULT_TOLERANCES),
+    ("cx", BOX, (1, 3, 1, 2), DEFAULT_TOLERANCES),
+    ("cx", NEG_ZERO_BOX, (3, 2, 4, 2), DEFAULT_TOLERANCES),
+    ("cx", BOX, (5, 4, 3, 2), WIDE),
+    ("cx", NUMPY_BOX, (2, 3, 2, 1), DEFAULT_TOLERANCES),
+    ("null_field", BOX, (2, 1, 3, 1), DEFAULT_TOLERANCES),
+    ("degenerate_field", NEG_ZERO_BOX, (2, 3, 1, 2), DEFAULT_TOLERANCES),
+    ("degenerate_field", BOX, (3, 3, 3, 3), WIDE),
+    ("packet", BOX, (6, 6, 6, 6), DEFAULT_TOLERANCES),
+    ("packet", NEG_ZERO_BOX, (7, 1, 1, 5), WIDE),
+]
+
+
+def scan_field(request, field):
+    if field == "packet":
+        return random_superposition(np.random.default_rng([8, 24]), n_modes=24)
+    return request.getfixturevalue(field)
 
 
 class TestScanWriter:
-    @pytest.mark.parametrize(
-        "field,region,resolution,tols",
-        [
-            ("cx", BOX, (1, 1, 1, 1), DEFAULT_TOLERANCES),
-            ("cx", BOX, (1, 3, 1, 2), DEFAULT_TOLERANCES),
-            ("cx", NEG_ZERO_BOX, (3, 2, 4, 2), DEFAULT_TOLERANCES),
-            ("cx", BOX, (5, 4, 3, 2), WIDE),
-            ("cx", NUMPY_BOX, (2, 3, 2, 1), DEFAULT_TOLERANCES),
-            ("null_field", BOX, (2, 1, 3, 1), DEFAULT_TOLERANCES),
-            ("degenerate_field", NEG_ZERO_BOX, (2, 3, 1, 2), DEFAULT_TOLERANCES),
-            ("degenerate_field", BOX, (3, 3, 3, 3), WIDE),
-            ("packet", BOX, (6, 6, 6, 6), DEFAULT_TOLERANCES),
-            ("packet", NEG_ZERO_BOX, (7, 1, 1, 5), WIDE),
-        ],
-    )
+    @pytest.mark.parametrize("field,region,resolution,tols", SCAN_CASES)
     def test_matches_the_per_cell_writer(
         self, request, tmp_path, field, region, resolution, tols
     ):
-        if field == "packet":
-            w = random_superposition(np.random.default_rng([8, 24]), n_modes=24)
-        else:
-            w = request.getfixturevalue(field)
-        want = oracle_cells(w, region, resolution, tols)
-        scan = grid_scan(w, region, resolution, tols)
-        assert lattice(scan) == [c[:4] for c in want]
-        assert [TALLY_KEYS[k] for k in scan.codes.tolist()] == [c[4] for c in want]
-        # repr, since NaN numerics never compare equal
-        numerics = zip(scan.theta.tolist(), scan.w_plus_sq.tolist(), scan.w_minus_sq.tolist())
-        assert list(map(repr, numerics)) == [repr(c[5:]) for c in want]
+        scan = grid_scan(scan_field(request, field), region, resolution, tols)
+        assert scan.axes == tuple(
+            _axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)
+        )
         out = tmp_path / "scan.csv"
         write_scan_csv(scan, out)
-        assert out.read_bytes() == oracle_csv(want).encode()
+        assert out.read_bytes() == oracle_csv(scan).encode()
         counts = scan.counts()
-        assert sum(counts.values()) == len(want)
-        assert counts == {k: sum(c[4] == k for c in want) for k in TALLY_KEYS}
+        assert sum(counts.values()) == math.prod(resolution)
+        assert counts == {k: int((scan.codes == i).sum()) for i, k in enumerate(TALLY_KEYS)}
+
+    @pytest.mark.parametrize("field,region,resolution,tols", SCAN_CASES)
+    def test_lattice_matches_the_event_path(self, request, field, region, resolution, tols):
+        check_lattice(scan_field(request, field), region, resolution, tols)
 
 
 def test_two_modes_never_give_both_spacelike():

@@ -114,3 +114,22 @@ def test_every_public_name_has_a_caller():
     }
     assert "NodeError" in imported
     assert sorted(set(spans) - read - imported) == []
+
+
+def test_no_numpy_call_reaches_blas():
+    # numpy's matrix products, linalg and einsum's optimize path call BLAS,
+    # which may start threads of its own; every command runs on one thread
+    blas = {"matmul", "dot", "vdot", "tensordot", "linalg"}
+    found = []
+    for path in Path(kgbohm.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in blas:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Name) and node.id in blas:
+                found.append((path.name, node.lineno, node.id))
+            elif isinstance(node, ast.Call) and "einsum" in ast.unparse(node.func):
+                if any(kw.arg in ("optimize", None) for kw in node.keywords):
+                    found.append((path.name, node.lineno, "einsum optimize"))
+    assert found == []
