@@ -137,7 +137,9 @@ def theta(
     covector is always degenerate. Where that threshold is zero, subnormal
     or infinite (the squares under- or overflowed), everything is computed
     again on p and s rescaled together by one exact power of two, which
-    moves neither theta nor the test.
+    moves neither theta nor the test. A threshold still not finite then
+    means p or s is not finite (the gradient of psi overflowed), and
+    raises FieldOverflowError.
     """
     # inner and euclidean_sq written out on the components, in their order
     p0, p1, p2, p3 = p
@@ -151,6 +153,8 @@ def theta(
         p0, p1, p2, p3 = p
         s0, s1, s2, s3 = s
         threshold = tols.ortho * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
+        if not math.isfinite(threshold):
+            raise FieldOverflowError()
     q = p0 * s0 - p1 * s1 - p2 * s2 - p3 * s3
     if abs(q) <= threshold:
         return None
@@ -236,7 +240,8 @@ def classify_batch(
     operations in its order, and a row theta or causal_class would rescale
     is rescaled the same way; only numpy's arcsinh and exp may differ from
     math's in the last bit. On the first row, in row order, where
-    _candidates raises, raises the same error.
+    _candidates raises, raises the same error: FieldOverflowError where p
+    or s is not finite, as theta raises it.
     """
     import numpy as np
 
@@ -253,6 +258,7 @@ def classify_batch(
             pr, sr = p.copy(), s.copy()
             pr[:, out], sr[:, out] = _rescaled(p[:, out], s[:, out])
             thr_o = tols.ortho * (np.sqrt(euclidean_sq(pr)) * np.sqrt(euclidean_sq(sr)))
+            thr_o[~np.isfinite(thr_o)] = np.nan  # p or s not finite: theta NaN, raises
         q = inner(pr, sr)
         degenerate = np.abs(q) <= thr_o
         th = np.arcsinh((inner(pr, pr) - inner(sr, sr)) / (2.0 * q))
@@ -273,6 +279,8 @@ def classify_batch(
         raises = ~degenerate & (np.isnan(th) | overflow | (timelike[0] & timelike[1]))
     if raises.any():
         i = raises.argmax()
+        if np.isnan(thr_o[i]):
+            raise FieldOverflowError()
         if np.isnan(th[i]):
             raise ValueError("theta is NaN")
         raise FieldOverflowError(float(th[i])) if overflow[i] else BothTimelikeError()

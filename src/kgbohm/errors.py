@@ -44,11 +44,14 @@ class BothTimelikeError(KgBohmError):
 
 
 class FieldOverflowError(KgBohmError):
-    """exp(|theta|) is not representable in double precision."""
+    """exp(|theta|), or a component of p or s (theta None), is not
+    representable in double precision."""
 
-    def __init__(self, theta: float):
+    def __init__(self, theta: float | None = None):
         super().__init__(
-            f"exp(theta) with theta = {theta!r} overflows double precision"
+            "p or s is not finite: the gradient of psi overflows double precision"
+            if theta is None
+            else f"exp(theta) with theta = {theta!r} overflows double precision"
         )
 
 

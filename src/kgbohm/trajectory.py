@@ -39,6 +39,7 @@ from .minkowski import (
     DEFAULT_TOLERANCES,
     FourVector,
     Tolerances,
+    _check_count,
     _positive_finite,
     _rescaled,
     inner,
@@ -88,10 +89,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         if not _positive_finite(self.step):
             raise ValueError(f"step must be a positive finite number, got {self.step!r}")
-        if isinstance(self.max_steps, bool) or not (
-            isinstance(self.max_steps, int) and self.max_steps >= 1
-        ):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        _check_count(self.max_steps, "max_steps")
 
 
 class TrajectoryPoint(NamedTuple):
@@ -149,8 +147,8 @@ def integrate(
     tangent, raw selected covector, verdict, and strictly increasing proper
     time. Stops after max_steps accepted steps, or at the first step where
     any RK4 stage point has an ill-defined velocity or an overflowing field
-    (exp(theta), or a phase k.x that is not finite), recording the cause
-    and the offending stage point. An x0 with an ill-defined velocity
+    (exp(theta), p or s, or a phase k.x that is not finite), recording the
+    cause and the offending stage point. An x0 with an ill-defined velocity
     raises IllDefinedVelocityError instead of returning a result.
 
     Deterministic: identical inputs give bit-identical point sequences.

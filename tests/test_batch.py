@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import kgbohm.construction
 import kgbohm.measure
-import kgbohm.wavefield
 from kgbohm import (
     DEFAULT_TOLERANCES,
     BothTimelikeError,
@@ -264,7 +263,16 @@ def test_kernel_raises_where_the_scalar_path_raises():
     # p.p - s.s and 2 p.s both overflow, so theta is NaN
     h = math.sqrt(sys.float_info.max)
     nan = FourVector(0.999 * h, 0.0, 0.0, 0.0), FourVector(0.6 * h, 0.79 * h, 0.0, 0.0)
-    for pair, error in ((big, FieldOverflowError), (nan, ValueError)):
+    # p or s not finite (the gradient of psi overflowed): an infinite
+    # threshold would call the pair p.s ~ 0, and a NaN one give theta NaN
+    inf = FourVector(math.inf, 0.0, 0.0, 0.0), FourVector(1.0, 0.0, 0.0, 0.0)
+    not_a_number = FourVector(1.0, 0.0, 0.0, 0.0), FourVector(math.nan, 1.0, 0.0, 0.0)
+    for pair, error in (
+        (big, FieldOverflowError),
+        (nan, ValueError),
+        (inf, FieldOverflowError),
+        (not_a_number, FieldOverflowError),
+    ):
         with pytest.raises(error):
             classify_pair(*pair)
         with pytest.raises(error):
@@ -272,6 +280,12 @@ def test_kernel_raises_where_the_scalar_path_raises():
     # the first raising row, in row order, decides the error
     with pytest.raises(ValueError):
         classify_batch(np.array([nan[0], big[0]]), np.array([nan[1], big[1]]))
+    with pytest.raises(ValueError):
+        classify_batch(np.array([nan[0], inf[0]]), np.array([nan[1], inf[1]]))
+    with pytest.raises(FieldOverflowError, match="p or s is not finite"):
+        classify_batch(np.array([inf[0], big[0]]), np.array([inf[1], big[1]]))
+    with pytest.raises(FieldOverflowError, match="exp\\(theta\\)"):
+        classify_batch(np.array([big[0], inf[0]]), np.array([big[1], inf[1]]))
     # both candidates timelike: the one-mode field raises, in bulk too
     with pytest.raises(BothTimelikeError):
         estimate_spacetime_fraction(one_mode(), ONE_MODE_BOX, n=3000, seed=5)
@@ -572,25 +586,33 @@ def test_lattice_path_is_as_accurate_as_the_event_path():
 @pytest.mark.parametrize("block", [1, 24 * 60 * 2])
 def test_lattice_blocks_give_the_same_bits(monkeypatch, block):
     # 7 x 5 x 4 x 3 cells of 24 modes: a block of 24 * 60 * 2 entries holds
-    # two leading slices, and one smaller than a slice still holds one
+    # two x0 slices, and one smaller than a slice still holds one
     w = packet(0)
-    axes = [tuple(np.linspace(-1.0, 1.0, r, endpoint=False).tolist()) for r in (7, 5, 4, 3)]
-    whole = w.polar_gradients_lattice(axes)
-    shapes = []
-    einsum = np.einsum
+    region = Region(FourVector(-1.0, -1.0, -1.0, -1.0), FourVector(1.0, 1.0, 1.0, 1.0))
+    whole = grid_scan(w, region, (7, 5, 4, 3))  # 2^16 entries: one block
+    shapes, rows = [], []
+    einsum, classified = np.einsum, kgbohm.measure._classified
 
-    def spy(subscripts, weights, terms):
+    def einsum_spy(subscripts, weights, terms):
         shapes.append(terms.shape)
         return einsum(subscripts, weights, terms)
 
-    monkeypatch.setattr(np, "einsum", spy)
-    monkeypatch.setattr(kgbohm.wavefield, "_LATTICE_BLOCK", block)
-    split = w.polar_gradients_lattice(axes)
+    def classified_spy(p, s, node, tols):
+        rows.append(len(p))
+        return classified(p, s, node, tols)
+
+    monkeypatch.setattr(np, "einsum", einsum_spy)
+    monkeypatch.setattr(kgbohm.measure, "_classified", classified_spy)
+    monkeypatch.setattr(kgbohm.measure, "_LATTICE_BLOCK", block)
+    split = grid_scan(w, region, (7, 5, 4, 3))
     slices = [2, 2, 2, 1] if block > 1 else [1] * 7
-    # the terms reach einsum as (re, im) pairs, two floats per cell
+    # the terms reach einsum as (re, im) pairs, two floats per cell, and
+    # each block is classified on its own
     assert shapes == [(24, 2 * 60 * n) for n in slices]
-    for a, b in zip(whole, split):
-        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    assert rows == [60 * n for n in slices]
+    assert split.axes == whole.axes
+    for field in ("codes", "theta", "w_plus_sq", "w_minus_sq"):
+        assert getattr(split, field).tobytes() == getattr(whole, field).tobytes()
 
 
 shifts = st.lists(

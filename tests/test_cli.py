@@ -922,3 +922,71 @@ print(run("measure", "--builtin", "counterexample",
         )
         assert code == 2
         assert "--config" in err and "mass" in err
+
+
+GRADIENT_OVERFLOW_ARGV = [
+    ["classify", "--x", "-0.5", "-0.5", "0", "0"],
+    ["measure", "--lo", "-0.5", "-0.5", "-0.5", "-0.5", "--hi", "0.5", "0.5", "0.5", "0.5",
+     "--n", "4096", "--seed", "0"],
+    ["scan", "--lo", "-0.5", "-0.5", "-0.5", "-0.5", "--hi", "0.5", "0.5", "0.5", "0.5",
+     "--resolution", "6", "6", "6", "6"],
+    ["trajectory", "--x0", "-0.5", "-0.5", "0", "0", "--step", "0.01", "--max-steps", "3"],
+]
+
+
+def scaled_counterexample(e):
+    """The counterexample's config with every amplitude times 2^e."""
+    return {
+        "mass": 1.0,
+        "modes": [
+            {"k": list(m.k), "c": [m.c.real * 2.0**e, m.c.imag * 2.0**e]}
+            for m in counterexample().modes
+        ],
+    }
+
+
+# Two modes at mass 1 whose gradient sums overflow; they pass validation
+TWO_MODE_OVERFLOW = {
+    "mass": 1,
+    "modes": [
+        {"k": [1e11, 99999999999.99998, 0, 0], "c": [1e300, 0]},
+        {"k": [1, 0, 0, 0], "c": [1e300, 0]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [scaled_counterexample(1021), TWO_MODE_OVERFLOW],
+    ids=["counterexample-2^1021", "two-mode"],
+)
+@pytest.mark.parametrize("argv", GRADIENT_OVERFLOW_ARGV, ids=lambda argv: argv[0])
+def test_overflowing_gradient_is_an_error_line(capsys, tmp_path, config, argv):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(config))
+    out = [] if argv[0] == "classify" else ["--out", str(tmp_path / "result")]
+    code, _, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:], *out)
+    assert code == 1
+    assert err == (
+        "error: p or s is not finite: the gradient of psi overflows double precision\n"
+    )
+
+
+@pytest.mark.parametrize("argv", GRADIENT_OVERFLOW_ARGV[1:3], ids=["measure", "scan"])
+def test_overflowing_gradient_at_some_samples_is_an_error_line(capsys, tmp_path, argv):
+    # at 2^1020 only some events overflow; they used to be tallied p.s ~ 0
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(scaled_counterexample(1020)))
+    code, _, err = run(
+        capsys, argv[0], "--config", str(cfg), *argv[1:], "--out", str(tmp_path / "result")
+    )
+    assert code == 1
+    assert err.startswith("error: p or s is not finite") and len(err.splitlines()) == 1
+
+
+def test_amplitude_sum_that_overflows_is_refused(capsys, tmp_path):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(scaled_counterexample(1022)))
+    code, _, err = run(capsys, "classify", "--config", str(cfg), "--x", "0", "0", "0", "0")
+    assert code == 2
+    assert err == "error: --config: sum of amplitude moduli |c_i| overflows: inf\n"

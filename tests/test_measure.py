@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestSpacetimeEstimate:
         assert sum(d["counts"].values()) == 100
 
 
+@pytest.mark.parametrize("n", [True, 2.5, "3"])
+def test_sample_count_must_be_an_integer(cx, n):
+    # True once gave "n": true in the JSON, and 2.5 a TypeError from range
+    want = re.escape(f"n must be an integer >= 1, got {n!r}")
+    with pytest.raises(ValueError, match=want):
+        sample_pair_space(n, 0)
+    with pytest.raises(ValueError, match=want):
+        estimate_spacetime_fraction(cx, BOX, n, 0)
+
+
 class TestPairSpaceEstimate:
     def test_counts_conserve_samples_and_node_is_empty(self):
         est = sample_pair_space(n=5000, seed=1)
@@ -265,6 +276,16 @@ class TestGridScan:
     @pytest.mark.parametrize("resolution", [(0, 1, 1, 1), (1, 1, 1), (1, 1, 1, -2)])
     def test_rejects_bad_resolution(self, cx, resolution):
         with pytest.raises(ValueError):
+            grid_scan(cx, BOX, resolution)
+
+    @pytest.mark.parametrize(
+        "resolution, named",
+        [((2.9, 2, 2, 2), 0), ((True, 2, 2, 2), 0), (("3", 2, 2, 2), 0), ((2, 2, 2, 1.0), 3)],
+    )
+    def test_resolution_entries_must_be_integers(self, cx, resolution, named):
+        # they once scanned int(r) x0 values without a word
+        want = f"resolution[{named}] must be an integer >= 1, got {resolution[named]!r}"
+        with pytest.raises(ValueError, match=re.escape(want)):
             grid_scan(cx, BOX, resolution)
 
     def test_csv_layout_and_roundtrip(self, cx, tmp_path):
