@@ -229,6 +229,12 @@ def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
 _CODE = {sel: i for i, sel in enumerate(Selection)}  # classify_batch's verdict codes
 
 
+def _forms(v):
+    """euclidean_sq(v) and inner(v, v), in their order, from one square per component."""
+    sq = [c * c for c in v]
+    return sq[0] + sq[1] + sq[2] + sq[3], sq[0] - sq[1] - sq[2] - sq[3]
+
+
 def classify_batch(
     p: np.ndarray, s: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -249,28 +255,30 @@ def classify_batch(
     s = np.asarray(s, dtype=float)
     if p.ndim != 2 or p.shape[1] != 4 or s.shape != p.shape:
         raise ValueError(f"p and s must both have shape (N, 4), got {p.shape}, {s.shape}")
-    p, s = p.T, s.T  # one row per component, as inner and euclidean_sq read them
+    p, s = tuple(p.T), tuple(s.T)  # one (N,) row per component, as inner reads them
     with np.errstate(all="ignore"):
-        pr, sr = p, s  # as theta rescales them; a zero p or s stays zero
-        thr_o = tols.ortho * (np.sqrt(euclidean_sq(p)) * np.sqrt(euclidean_sq(s)))
+        (p_e, pp), (s_e, ss), q = _forms(p), _forms(s), inner(p, s)
+        thr_o = tols.ortho * (np.sqrt(p_e) * np.sqrt(s_e))
         out = ~((thr_o >= _TINY) & (thr_o <= _HUGE))
-        if out.any():
-            pr, sr = p.copy(), s.copy()
-            pr[:, out], sr[:, out] = _rescaled(p[:, out], s[:, out])
-            thr_o = tols.ortho * (np.sqrt(euclidean_sq(pr)) * np.sqrt(euclidean_sq(sr)))
+        if out.any():  # as theta rescales them; a zero p or s stays zero
+            pr, sr = np.array(p), np.array(s)
+            pr[:, out], sr[:, out] = _rescaled(pr[:, out], sr[:, out])
+            (p_e, pp), (s_e, ss), q = _forms(pr), _forms(sr), inner(pr, sr)
+            thr_o = tols.ortho * (np.sqrt(p_e) * np.sqrt(s_e))
             thr_o[~np.isfinite(thr_o)] = np.nan  # p or s not finite: theta NaN, raises
-        q = inner(pr, sr)
         degenerate = np.abs(q) <= thr_o
-        th = np.arcsinh((inner(pr, pr) - inner(sr, sr)) / (2.0 * q))
+        th = np.arcsinh((pp - ss) / (2.0 * q))
         ep = np.exp(th)
-        em = np.exp(-th)
+        em = -np.exp(-th)
         norms, null, timelike = [], [], []
-        for w in (p * ep + s, p * -em + s):
-            norms.append(inner(w, w))
-            q_w, thr = norms[-1], tols.causal * euclidean_sq(w)
+        for f in (ep, em):
+            w = [pc * f + sc for pc, sc in zip(p, s)]
+            w_e, q_w = _forms(w)
+            norms.append(q_w)
+            thr = tols.causal * w_e
             out = ~((thr >= _TINY) & (thr <= _HUGE))
             if out.any():  # as causal_class rescales the candidate
-                (v,) = _rescaled(w[:, out])
+                (v,) = _rescaled(np.array(w)[:, out])
                 q_w = q_w.copy()
                 q_w[out], thr[out] = inner(v, v), tols.causal * euclidean_sq(v)
             null.append(np.abs(q_w) <= thr)
@@ -284,16 +292,11 @@ def classify_batch(
         if np.isnan(th[i]):
             raise ValueError("theta is NaN")
         raise FieldOverflowError(float(th[i])) if overflow[i] else BothTimelikeError()
-    codes = np.select(
-        [degenerate, null[0] | null[1], timelike[0], timelike[1]],
-        [
-            _CODE[Selection.ORTHOGONAL_DEGENERATE],
-            _CODE[Selection.BOUNDARY],
-            _CODE[Selection.PLUS_TIMELIKE],
-            _CODE[Selection.MINUS_TIMELIKE],
-        ],
-        default=_CODE[Selection.BOTH_SPACELIKE],
-    )
+    codes = np.full(len(q), _CODE[Selection.BOTH_SPACELIKE])  # select's table: later masks win
+    codes[timelike[1]] = _CODE[Selection.MINUS_TIMELIKE]
+    codes[timelike[0]] = _CODE[Selection.PLUS_TIMELIKE]
+    codes[null[0] | null[1]] = _CODE[Selection.BOUNDARY]
+    codes[degenerate] = _CODE[Selection.ORTHOGONAL_DEGENERATE]
     wp_sq, wm_sq = norms
     th[degenerate] = wp_sq[degenerate] = wm_sq[degenerate] = np.nan
     return codes, th, wp_sq, wm_sq

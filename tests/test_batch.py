@@ -11,6 +11,7 @@ translation.
 """
 
 import cmath
+import hashlib
 import itertools
 import math
 import sys
@@ -255,6 +256,65 @@ def cancelled(p, s, wp, wm):
 
 
 ONE_MODE_BOX = Region(FourVector(-1.0, -1.0, -1.0, -1.0), FourVector(1.0, 1.0, 1.0, 1.0))
+
+
+def pinned_bank():
+    """Seeded (p, s) batches: 20,000 standard normal pairs as strided
+    slices of an (N, 8) draw and as contiguous copies, times 2^e, with zero
+    p and s rows among them, parallel pairs s = +-p, and parallel pairs
+    s = lambda p one row at a time. N = 0 closes the bank."""
+    draw = np.random.default_rng([20, 8]).standard_normal((20_000, 8))
+    p, s = draw[:, :4], draw[:, 4:]
+    yield p, s
+    yield p.copy(), s.copy()
+    for e in (-600, 520, 1000):
+        yield np.ldexp(p, e), np.ldexp(s, e)
+    rows = np.arange(len(p))[:, None]
+    yield np.where(rows % 3 == 0, 0.0, p), np.where(rows % 5 == 0, 0.0, s)
+    yield p, np.where(rows % 2 == 0, 1.0, -1.0) * p
+    # a candidate of a parallel pair is exactly zero, and what rounding
+    # leaves of it points along p, so some rows raise BothTimelikeError
+    for lam in (0.5, 2.0, 3.0):
+        for i in range(300):
+            yield p[i : i + 1], lam * p[i : i + 1]
+    yield p[:0], s[:0]
+
+
+# SHA-256 of every array classify_batch returns on pinned_bank(), with its
+# dtype, or of the repr of what it raises. A kernel rewrite that keeps the
+# scalar path's operations in their order moves no bit of it.
+KERNEL_DIGEST = "02fa1dfe0b2322bba56fac0cf33e7e0d2004f78a235898dd675673eb60836119"
+
+
+def test_kernel_bits_are_pinned():
+    digest = hashlib.sha256()
+    for p, s in pinned_bank():
+        try:
+            arrays = classify_batch(p, s)
+        except BothTimelikeError as exc:
+            digest.update(repr(exc).encode())
+            continue
+        for a in arrays:
+            digest.update(a.dtype.str.encode())
+            digest.update(a.tobytes())
+    assert digest.hexdigest() == KERNEL_DIGEST
+    # the errors keep their type and message
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3000, 4))
+    p, s = one_mode().polar_gradients_batch(x)[1:3]
+    with pytest.raises(BothTimelikeError) as both:
+        classify_batch(p, s)
+    assert str(both.value) == (
+        "both candidate covectors classified timelike; orthogonal "
+        "vectors cannot both be timelike, check tolerances"
+    )
+    p, s = next(pinned_bank())
+    p = p.copy()
+    p[7, 2] = math.inf
+    with pytest.raises(FieldOverflowError) as overflow:
+        classify_batch(p, s)
+    assert str(overflow.value) == (
+        "p or s is not finite: the gradient of psi overflows double precision"
+    )
 
 
 def test_kernel_raises_where_the_scalar_path_raises():
@@ -583,13 +643,23 @@ def test_lattice_path_is_as_accurate_as_the_event_path():
     assert 0.0 < worst["lattice"] <= worst["event"] < 1e-12
 
 
-@pytest.mark.parametrize("block", [1, 24 * 60 * 2])
-def test_lattice_blocks_give_the_same_bits(monkeypatch, block):
-    # 7 x 5 x 4 x 3 cells of 24 modes: a block of 24 * 60 * 2 entries holds
-    # two x0 slices, and one smaller than a slice still holds one
+@pytest.mark.parametrize(
+    "resolution,block,blocks",
+    [
+        # a block of 24 * 60 * 2 entries holds two x0 slices
+        pytest.param((7, 5, 4, 3), 24 * 60 * 2, [(2, 60)] * 3 + [(1, 60)], id="2880"),
+        # a block smaller than one cell still holds one cell
+        pytest.param((7, 5, 4, 3), 1, [(1, 1)] * 420, id="1"),
+        # one x0 slice is too large: runs of x1 slices, then of x2 slices
+        pytest.param((1, 5, 4, 3), 24 * 12 * 2, [(2, 12)] * 2 + [(1, 12)], id="1x5x4x3-576"),
+        pytest.param((1, 5, 4, 3), 24 * 3 * 3, [(3, 3), (1, 3)] * 5, id="1x5x4x3-216"),
+    ],
+)
+def test_lattice_blocks_give_the_same_bits(monkeypatch, resolution, block, blocks):
+    # blocks lists each block's run length and the cells in one of its slices
     w = packet(0)
     region = Region(FourVector(-1.0, -1.0, -1.0, -1.0), FourVector(1.0, 1.0, 1.0, 1.0))
-    whole = grid_scan(w, region, (7, 5, 4, 3))  # 2^16 entries: one block
+    whole = grid_scan(w, region, resolution)  # 2^16 entries: one block
     shapes, rows = [], []
     einsum, classified = np.einsum, kgbohm.measure._classified
 
@@ -604,12 +674,11 @@ def test_lattice_blocks_give_the_same_bits(monkeypatch, block):
     monkeypatch.setattr(np, "einsum", einsum_spy)
     monkeypatch.setattr(kgbohm.measure, "_classified", classified_spy)
     monkeypatch.setattr(kgbohm.measure, "_LATTICE_BLOCK", block)
-    split = grid_scan(w, region, (7, 5, 4, 3))
-    slices = [2, 2, 2, 1] if block > 1 else [1] * 7
+    split = grid_scan(w, region, resolution)
     # the terms reach einsum as (re, im) pairs, two floats per cell, and
     # each block is classified on its own
-    assert shapes == [(24, 2 * 60 * n) for n in slices]
-    assert rows == [60 * n for n in slices]
+    assert shapes == [(24, 2 * n * cells) for n, cells in blocks]
+    assert rows == [n * cells for n, cells in blocks]
     assert split.axes == whole.axes
     for field in ("codes", "theta", "w_plus_sq", "w_minus_sq"):
         assert getattr(split, field).tobytes() == getattr(whole, field).tobytes()
