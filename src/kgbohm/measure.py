@@ -70,6 +70,11 @@ _CHUNK = 4096
 # with 2^18.
 _LATTICE_BLOCK = 1 << 16
 
+# Rows of scan CSV text built and written at once. A block's strings and
+# lists take about 0.7 KB a row whatever the lattice size: about 180 KB
+# at 256 rows, against 670 KB at 1024, which ran no faster.
+_CSV_BLOCK = 1 << 8
+
 
 @dataclass(frozen=True)
 class Region:
@@ -299,20 +304,24 @@ def write_scan_csv(scan: ScanResult, path: str | Path) -> None:
     """Write the scan map as CSV.
 
     Header: x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq
+
+    Each value is written as its repr. The text is built and written one
+    block of _CSV_BLOCK rows at a time, so it never holds the whole file.
     """
-    # Each coordinate is written as repr of its axis value, formatted once
-    # per axis value rather than once per cell.
+    # Coordinates are formatted once per axis value and joined once per
+    # row; every other column is formatted in one pass, and the columns are
+    # interleaved with their separators by slice assignment.
     coords = itertools.product(*([f"{v!r}," for v in axis] for axis in scan.axes))
-    rows = zip(
-        coords,
-        scan.codes.tolist(),
-        scan.theta.tolist(),
-        scan.w_plus_sq.tolist(),
-        scan.w_minus_sq.tolist(),
-    )
+    labels = [f"{k}," for k in TALLY_KEYS]
     with open(path, "w") as fh:
         fh.write("x0,x1,x2,x3,selection,theta,w_plus_sq,w_minus_sq\n")
-        fh.writelines(
-            f"{a}{b}{c}{d}{TALLY_KEYS[k]},{t!r},{wp!r},{wm!r}\n"
-            for (a, b, c, d), k, t, wp, wm in rows
-        )
+        for start in range(0, scan.codes.size, _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            codes = scan.codes[block].tolist()
+            text = [None, None, None, ",", None, ",", None, "\n"] * len(codes)
+            text[0::8] = map("".join, itertools.islice(coords, len(codes)))
+            text[1::8] = map(labels.__getitem__, codes)
+            text[2::8] = map(repr, scan.theta[block].tolist())
+            text[4::8] = map(repr, scan.w_plus_sq[block].tolist())
+            text[6::8] = map(repr, scan.w_minus_sq[block].tolist())
+            fh.write("".join(text))

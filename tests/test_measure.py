@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from kgbohm import (
     wilson_interval,
     write_scan_csv,
 )
+from kgbohm import measure
 from kgbohm.measure import _axis_coords, _verdicts
 from support import check_lattice, random_superposition
 
@@ -346,7 +348,7 @@ def scan_field(request, field):
 class TestScanWriter:
     @pytest.mark.parametrize("field,region,resolution,tols", SCAN_CASES)
     def test_matches_the_per_cell_writer(
-        self, request, tmp_path, field, region, resolution, tols
+        self, request, monkeypatch, tmp_path, field, region, resolution, tols
     ):
         scan = grid_scan(scan_field(request, field), region, resolution, tols)
         assert scan.axes == tuple(
@@ -355,9 +357,30 @@ class TestScanWriter:
         out = tmp_path / "scan.csv"
         write_scan_csv(scan, out)
         assert out.read_bytes() == oracle_csv(scan).encode()
+        # blocks of 5 rows put seams inside every case of more than 5 cells,
+        # the NaN rows of null_field and degenerate_field and the -0.0 box
+        # among them
+        monkeypatch.setattr(measure, "_CSV_BLOCK", 5)
+        write_scan_csv(scan, out)
+        assert out.read_bytes() == oracle_csv(scan).encode()
         counts = scan.counts()
         assert sum(counts.values()) == math.prod(resolution)
         assert counts == {k: int((scan.codes == i).sum()) for i, k in enumerate(TALLY_KEYS)}
+
+    def test_memory_stays_flat_in_the_lattice_size(self, cx, monkeypatch, tmp_path):
+        # the writer holds one block of rows, never the whole text: four
+        # times the cells must not take four times the traced peak
+        monkeypatch.setattr(measure, "_CSV_BLOCK", 64)
+        peaks = []
+        for resolution in ((8, 8, 8, 4), (8, 8, 8, 16)):
+            scan = grid_scan(cx, BOX, resolution)
+            tracemalloc.start()
+            try:
+                write_scan_csv(scan, tmp_path / "scan.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
     @pytest.mark.parametrize("field,region,resolution,tols", SCAN_CASES)
     def test_lattice_matches_the_event_path(self, request, field, region, resolution, tols):
