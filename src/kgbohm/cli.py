@@ -12,13 +12,13 @@ CSV. Manifests carry no timestamps, so reruns of the same manifest are
 byte-identical.
 
 Exit status: 0 means the computation succeeded, including "the construction
-is ill-defined here" answers; 1 means it could not be computed (node at the
-requested event, ill-defined trajectory start, verification mismatch, both
-candidates classified timelike);
+is ill-defined here" answers such as a node at the requested event; 1 means
+it could not be computed (ill-defined trajectory start, verification
+mismatch, both candidates classified timelike, p or s not finite);
 2 means bad input (usage, config validation or reading, out-of-range flag,
-an event or box corner at which some mode's phase k.x overflows, an --out
-whose directory does not exist or that names a directory, or whose
-<out>.manifest.json sidecar path names a directory).
+a verify --mass below 2^-1030, an event or box corner at which some mode's
+phase k.x overflows, an --out whose directory does not exist or that names
+a directory, or whose <out>.manifest.json sidecar path names a directory).
 """
 
 from __future__ import annotations
@@ -200,6 +200,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         w = counterexample(m)
     except ValueError as exc:  # sqrt(27) m overflows, or rounds off shell
         raise _CliError(f"--mass: {exc}") from None
+    if m < 2.0**-1030:
+        raise _CliError(
+            f"--mass: {m!r} is below 2^-1030 (about 8.7e-311), where the subnormal "
+            f"p and s keep too few bits for the {VERIFY_RTOL:g} comparison"
+        )
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
     a = analyze_point(w, origin)
 
@@ -249,13 +254,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
     w = _load_config(args)
     _refuse_phase_overflow(w, args.x, args.x, "--x")
     a = analyze_point(w, FourVector(*args.x), args.tols)
-    if a.selection is Selection.NODE:
-        print(
-            f"node: |psi| = {abs(a.psi):.6e} is at or below --node-tol times "
-            "the amplitude sum; polar decomposition undefined",
-            file=sys.stderr,
-        )
-        return 1
     print(json.dumps(a.to_dict(), indent=2, sort_keys=True))
     return 0
 

@@ -129,8 +129,8 @@ def theta(
 ) -> float | None:
     """Hyperbolic mixing angle, asinh((p.p - s.s) / (2 p.s)).
 
-    Evaluated through math.asinh, i.e. the overflow-safe logarithmic form
-    sign(u) * ln(|u| + sqrt(u^2 + 1)).
+    Computed as asinh((p.p / 2 - s.s / 2) / p.s), whose difference cannot
+    overflow: theta is a number, +-inf where the quotient overflows, or None.
 
     None where |p.s| <= tols.ortho * |p| * |s| (Euclidean norms), the
     excluded p.s ~ 0 case where theta is undefined; in particular the zero
@@ -160,7 +160,7 @@ def theta(
         return None
     pp = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3
     ss = s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
-    return math.asinh((pp - ss) / (2.0 * q))
+    return math.asinh((pp * 0.5 - ss * 0.5) / q)
 
 
 def w_fields(
@@ -169,10 +169,10 @@ def w_fields(
     """The candidate covectors (exp(th) p + s, -exp(-th) p + s).
 
     Raises FieldOverflowError if exp(|th|) is not representable; the
-    overflow is reported, never silently saturated.
+    overflow is reported, never silently saturated; a NaN th raises ValueError.
     """
     if math.isnan(th):
-        raise ValueError("theta is NaN")
+        raise ValueError(f"th must be a number, got {th!r}")
     try:
         ep = math.exp(th)
         em = -math.exp(-th)
@@ -247,7 +247,7 @@ def classify_batch(
     is rescaled the same way; only numpy's arcsinh and exp may differ from
     math's in the last bit. On the first row, in row order, where
     _candidates raises, raises the same error: FieldOverflowError where p
-    or s is not finite, as theta raises it.
+    or s is not finite or exp(+-theta) overflows, else BothTimelikeError.
     """
     import numpy as np
 
@@ -265,9 +265,9 @@ def classify_batch(
             pr[:, out], sr[:, out] = _rescaled(pr[:, out], sr[:, out])
             (p_e, pp), (s_e, ss), q = _forms(pr), _forms(sr), inner(pr, sr)
             thr_o = tols.ortho * (np.sqrt(p_e) * np.sqrt(s_e))
-            thr_o[~np.isfinite(thr_o)] = np.nan  # p or s not finite: theta NaN, raises
+        not_finite = ~np.isfinite(thr_o)  # p or s not finite, where theta raises
         degenerate = np.abs(q) <= thr_o
-        th = np.arcsinh((pp - ss) / (2.0 * q))
+        th = np.arcsinh((pp * 0.5 - ss * 0.5) / q)
         ep = np.exp(th)
         em = -np.exp(-th)
         norms, null, timelike = [], [], []
@@ -284,13 +284,11 @@ def classify_batch(
             null.append(np.abs(q_w) <= thr)
             timelike.append(q_w > thr)
         overflow = np.isfinite(th) & (np.isinf(ep) | np.isinf(em))  # as math.exp raises
-        raises = ~degenerate & (np.isnan(th) | overflow | (timelike[0] & timelike[1]))
+        raises = not_finite | (~degenerate & (overflow | (timelike[0] & timelike[1])))
     if raises.any():
         i = raises.argmax()
-        if np.isnan(thr_o[i]):
+        if not_finite[i]:
             raise FieldOverflowError()
-        if np.isnan(th[i]):
-            raise ValueError("theta is NaN")
         raise FieldOverflowError(float(th[i])) if overflow[i] else BothTimelikeError()
     codes = np.full(len(q), _CODE[Selection.BOTH_SPACELIKE])  # select's table: later masks win
     codes[timelike[1]] = _CODE[Selection.MINUS_TIMELIKE]

@@ -183,8 +183,8 @@ def integrate(
                     break
                 ks.append(k)
         except (FieldOverflowError, ValueError):
-            # ValueError: a stage point where some phase k.x is not finite
-            # (math.cos of inf raises, a NaN phase gives theta NaN)
+            # a stage point where some phase k.x is not finite: math.cos(inf)
+            # raises ValueError; a NaN phase gives NaN p and s, which theta refuses
             termination, failed_at = Termination.OVERFLOW, stage_x
             break
         if k is None:

@@ -48,6 +48,11 @@ def random_superposition(rng, n_modes=None, mass_range=(0.5, 2.0), k_scale=1.5):
     return Superposition(mass=m, modes=tuple(modes))
 
 
+def packet(seed, modes=24):
+    """The seeded packet of the given mode count that the tests share."""
+    return random_superposition(np.random.default_rng([seed, modes]), n_modes=modes)
+
+
 def random_point(rng, scale=3.0):
     u = rng.uniform(-scale, scale, size=4)
     return FourVector(float(u[0]), float(u[1]), float(u[2]), float(u[3]))

@@ -98,6 +98,27 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err.endswith("error: unrecognized arguments: --node-tol 0.5\n")
 
+    def test_mass_below_the_checkable_range_refused(self, capsys):
+        # counterexample(m) passes the on-shell check, but p and s are
+        # subnormal with too few bits left for the 1e-12 comparison
+        code, out, err = run(capsys, "verify", "--mass", "1e-312")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --mass: 1e-312 is below 2^-1030 (about 8.7e-311), where the "
+            "subnormal p and s keep too few bits for the 1e-12 comparison\n"
+        )
+
+    def test_no_tiny_mass_fails(self, capsys):
+        # 400 log-spaced masses from 1e-316 to 1e-307: each passes, or is
+        # refused as off the mass shell or below 2^-1030; none prints FAIL
+        for mass in np.logspace(-316, -307, 400).tolist():
+            code, out, err = run(capsys, "verify", "--mass", repr(mass))
+            assert code in (0, 2), (mass, out)
+            if code == 2:
+                assert out == "" and err.startswith("error: --mass: ")
+                assert ("off the mass shell" in err) != ("below 2^-1030" in err)
+                assert mass < 2.0**-1030
+
     @pytest.mark.parametrize("mass", ["1e-310", "3e307"])
     def test_mass_near_the_float_extremes_passes(self, capsys, mass):
         code, out, _ = run(capsys, "verify", "--mass", mass)
@@ -126,14 +147,20 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["selection"] == "minus_timelike"
 
-    def test_node_is_a_failure(self, capsys, config_file, null_field):
+    def test_node_is_an_answer(self, capsys, config_file, null_field):
         path = config_file(null_field)
         code, out, err = run(
             capsys, "classify", "--config", str(path), "--x", "0", "0", "0", "0"
         )
-        assert code == 1
-        assert err.startswith("node:")
-        assert out == ""
+        assert (code, err) == (0, "")
+        absent = ("p_mu", "s_mu", "plane", "theta", "w_plus", "w_minus", "class_plus", "class_minus")
+        assert json.loads(out) == {
+            "x": [0.0, 0.0, 0.0, 0.0],
+            "psi": [0.0, 0.0],
+            "selection": "node",
+            "gram_consistent": True,
+            **dict.fromkeys(absent),
+        }
 
     def test_degenerate_is_an_answer(self, capsys, config_file, degenerate_field):
         path = config_file(degenerate_field)
@@ -175,8 +202,10 @@ class TestClassify:
         assert main(args + ["--node-tol", "0.4"]) == 0
         capsys.readouterr()
         code, out, err = run(capsys, *args, "--node-tol", "0.5")
-        assert code == 1
-        assert err.startswith("node:")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["selection"] == "node" and report["p_mu"] is None
+        assert report["psi"] == [2.4226497308103743, 0.0]
 
     def test_widened_class_threshold_reaches_the_boundary_verdict(self, capsys):
         code, out, _ = run(

@@ -24,7 +24,7 @@ from kgbohm import (
     counterexample,
 )
 from kgbohm.measure import _verdicts
-from support import random_superposition
+from support import packet
 
 SELECTIONS = tuple(Selection)
 SWAP = {
@@ -41,8 +41,7 @@ waves = st.one_of(st.none(), st.tuples(seeds, st.integers(min_value=3, max_value
 def wave(drawn):
     if drawn is None:
         return counterexample(1.0)
-    seed, n_modes = drawn
-    return random_superposition(np.random.default_rng([seed, n_modes]), n_modes=n_modes)
+    return packet(*drawn)
 
 
 def conjugated(w):

@@ -23,7 +23,7 @@ from kgbohm import (
 )
 from kgbohm import measure
 from kgbohm.measure import _axis_coords, _verdicts
-from support import check_lattice, random_superposition
+from support import check_lattice, packet, random_superposition
 
 BOX = Region(FourVector(-0.5, -0.5, -0.5, -0.5), FourVector(0.5, 0.5, 0.5, 0.5))
 
@@ -341,7 +341,7 @@ SCAN_CASES = [
 
 def scan_field(request, field):
     if field == "packet":
-        return random_superposition(np.random.default_rng([8, 24]), n_modes=24)
+        return packet(8)
     return request.getfixturevalue(field)
 
 

@@ -33,7 +33,7 @@ from kgbohm import (
     integrate,
 )
 from kgbohm.measure import _verdicts
-from support import random_superposition
+from support import packet
 
 BAND = 1e3
 TIGHT, WIDE = (
@@ -42,12 +42,7 @@ TIGHT, WIDE = (
 )
 WAVES = {
     "counterexample": counterexample,
-    **{
-        f"packet{seed}": lambda seed=seed: random_superposition(
-            np.random.default_rng([seed, 24]), n_modes=24
-        )
-        for seed in range(4)
-    },
+    **{f"packet{seed}": lambda seed=seed: packet(seed) for seed in range(4)},
 }
 waves = st.sampled_from(sorted(WAVES))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

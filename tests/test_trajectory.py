@@ -162,7 +162,7 @@ class TestIntegrate:
         [
             ((3e307, 0.0, 0.0, 0.0), 1e307, 1, math.inf),  # math.cos(inf) raises
             ((0.3, 0.7, 0.0, 0.0), 1e307, 3, math.inf),
-            ((0.0, 1e307, 0.0, 0.0), 5e307, 1, math.nan),  # theta is NaN
+            ((0.0, 1e307, 0.0, 0.0), 5e307, 1, math.nan),  # p and s NaN: theta raises
         ],
     )
     def test_stage_whose_phase_overflows_ends_the_path(self, cx, x0, step, n_points, phase):
