@@ -44,7 +44,7 @@ from kgbohm import (
     theta,
     w_fields,
 )
-from kgbohm.construction import classify_batch
+from kgbohm.construction import _candidates, classify_batch
 from kgbohm.minkowski import _rescaled
 from support import (
     check_lattice,
@@ -311,6 +311,31 @@ def test_kernel_bits_are_pinned():
     assert str(overflow.value) == (
         "p or s is not finite: the gradient of psi overflows double precision"
     )
+
+
+# SHA-256 of _candidates' output on every 5th row of each pinned_bank()
+# batch: theta and both candidates in float.hex, both classes and the
+# selection, or the repr of what it raises. The rows take both rescale
+# branches (2^-600, 2^520, 2^1000), hold zero covectors and parallel pairs
+# that raise BothTimelikeError; a rewrite of the scalar path that keeps
+# every operation and its order moves no bit of it.
+SCALAR_DIGEST = "edf54a4722bec751b8fd694681b1219d2351b7858f784a3afb54f2b608183772"
+
+
+def test_scalar_bits_are_pinned():
+    digest = hashlib.sha256()
+    for p, s in pinned_bank():
+        for row in np.hstack([p, s])[::5].tolist():
+            try:
+                out = _candidates(FourVector(*row[:4]), FourVector(*row[4:]), TOLS)
+            except BothTimelikeError as exc:
+                digest.update(repr(exc).encode())
+                continue
+            th, wp, wm, cp, cm, sel = out
+            values = [] if th is None else [th, *wp, *wm]
+            digest.update(" ".join(map(float.hex, values)).encode())
+            digest.update(repr([None if c is None else c.value for c in (cp, cm, sel)]).encode())
+    assert digest.hexdigest() == SCALAR_DIGEST
 
 
 def outcome(classify, p, s):
