@@ -14,11 +14,13 @@ byte-identical.
 Exit status: 0 means the computation succeeded, including "the construction
 is ill-defined here" answers such as a node at the requested event; 1 means
 it could not be computed (ill-defined trajectory start, verification
-mismatch, both candidates classified timelike, p or s not finite);
-2 means bad input (usage, config validation or reading, out-of-range flag,
-a verify --mass below 2^-1030, an event or box corner at which some mode's
-phase k.x overflows, an --out whose directory does not exist or that names
-a directory, or whose <out>.manifest.json sidecar path names a directory).
+mismatch, both candidates classified timelike, p or s not finite), or
+its output could not be written because stdout was closed first (a pipe
+into `head`, say), which exits quietly, with no traceback; 2 means bad
+input (usage, config validation or reading, out-of-range flag, a verify
+--mass below 2^-1030, an event or box corner at which some mode's phase
+k.x overflows, an --out whose directory does not exist or that names a
+directory, or whose <out>.manifest.json sidecar path names a directory).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -464,7 +467,15 @@ def main(argv: list[str] | None = None) -> int:
             sidecar = _sidecar_path(args)
             if sidecar is not None and sidecar.is_dir():
                 raise _CliError(f"--out: manifest path is a directory: {sidecar}")
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # stdout was closed before the output was written (`| head`): exit 1
+        # with no traceback, and point stdout at devnull, as the signal
+        # module's docs advise, so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,12 +24,13 @@ values all the way down, never exceptions: polar_gradients gives no p and
 s on the nodal set, theta gives None where p.s ~ 0, and analyze_point turns
 those into the NODE and ORTHOGONAL_DEGENERATE verdicts. One scalar sequence,
 _candidates, decides a single (p, s) pair for analyze_point and the
-trajectory stages.
+trajectory stages, in one pass on Python floats: theta, the candidates and
+each candidate's null band on the components, then select.
 
 classify_batch is the same verdict on N pairs at once, for the bulk paths
 (measure, sample-pairs, scan). It applies the scalar path's thresholds to
 the scalar path's quantities: the p.s ~ 0 test of theta, the candidates
-exp(+-theta) p + s, causal_class's null band and select's table. It does
+exp(+-theta) p + s, _candidates' null band and select's table. It does
 not use the closed-form Gram criterion, which would need a null band of
 its own; this way each tolerance band has one definition on both paths,
 and the Gram criterion stays an independent cross-check. It rescales what
@@ -50,7 +51,6 @@ from .minkowski import (
     FourVector,
     PlaneClass,
     Tolerances,
-    causal_class,
     euclidean_sq,
     inner,
     plane_class,
@@ -64,7 +64,6 @@ __all__ = [
     "Selection",
     "PointAnalysis",
     "theta",
-    "w_fields",
     "select",
     "classify_batch",
     "analyze_point",
@@ -139,7 +138,7 @@ def theta(
     again on p and s rescaled together by one exact power of two, which
     moves neither theta nor the test. A threshold still not finite then
     means p or s is not finite (the gradient of psi overflowed), and
-    raises FieldOverflowError.
+    raises FieldOverflowError. p and s may be any sequences of four floats.
     """
     # inner and euclidean_sq written out on the components, in their order
     p0, p1, p2, p3 = p
@@ -149,7 +148,7 @@ def theta(
         * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
     )
     if not _TINY <= threshold <= _HUGE:
-        p, s = _rescaled(p, s)
+        p, s = _rescaled(FourVector(*p), FourVector(*s))
         p0, p1, p2, p3 = p
         s0, s1, s2, s3 = s
         threshold = tols.ortho * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
@@ -161,29 +160,6 @@ def theta(
     pp = p0 * p0 - p1 * p1 - p2 * p2 - p3 * p3
     ss = s0 * s0 - s1 * s1 - s2 * s2 - s3 * s3
     return math.asinh((pp * 0.5 - ss * 0.5) / q)
-
-
-def w_fields(
-    p: FourVector, s: FourVector, th: float
-) -> tuple[FourVector, FourVector]:
-    """The candidate covectors (exp(th) p + s, -exp(-th) p + s).
-
-    Raises FieldOverflowError if exp(|th|) is not representable; the
-    overflow is reported, never silently saturated; a NaN th raises ValueError.
-    """
-    if math.isnan(th):
-        raise ValueError(f"th must be a number, got {th!r}")
-    try:
-        ep = math.exp(th)
-        em = -math.exp(-th)
-    except OverflowError as e:
-        raise FieldOverflowError(th) from e
-    p0, p1, p2, p3 = p
-    s0, s1, s2, s3 = s
-    return (
-        FourVector(p0 * ep + s0, p1 * ep + s1, p2 * ep + s2, p3 * ep + s3),
-        FourVector(p0 * em + s0, p1 * em + s1, p2 * em + s2, p3 * em + s3),
-    )
 
 
 def select(class_plus: CausalClass, class_minus: CausalClass) -> Selection:
@@ -209,20 +185,52 @@ def select(class_plus: CausalClass, class_minus: CausalClass) -> Selection:
     return Selection.BOTH_SPACELIKE
 
 
-def _candidates(p: FourVector, s: FourVector, tols: Tolerances) -> tuple:
+_NULL, _TIMELIKE, _SPACELIKE = CausalClass.NULL, CausalClass.TIMELIKE, CausalClass.SPACELIKE
+
+
+def _candidates(p, s, tols: Tolerances) -> tuple:
     """(theta, w_plus, w_minus, class_plus, class_minus, selection) for the
-    pair (p, s); where p.s ~ 0 the selection is ORTHOGONAL_DEGENERATE and
+    pair (p, s), any two sequences of four floats, with the candidates as
+    plain 4-tuples; where p.s ~ 0 the selection is ORTHOGONAL_DEGENERATE and
     the other five are None.
 
-    The one scalar sequence theta -> w_fields -> causal_class x2 -> select,
-    shared by analyze_point and the trajectory stages.
+    The one scalar sequence, shared by analyze_point and the trajectory
+    stages: theta, then w_plus = exp(theta) p + s and w_minus = -exp(-theta)
+    p + s on the components, then each candidate's causal class, then
+    select. A candidate is null where |w.w| <= tols.causal * (component
+    square sum), so the zero vector is null; where that threshold is zero,
+    subnormal or infinite (the squares under- or overflowed), both sides are
+    computed again on w rescaled by an exact power of two, which moves
+    neither against the other. Raises FieldOverflowError where exp(|theta|)
+    is not representable: the overflow is reported, never saturated.
     """
     th = theta(p, s, tols)
     if th is None:
         return None, None, None, None, None, Selection.ORTHOGONAL_DEGENERATE
-    wp, wm = w_fields(p, s, th)
-    cp = causal_class(wp, tols)
-    cm = causal_class(wm, tols)
+    try:
+        ep = math.exp(th)
+        em = -math.exp(-th)
+    except OverflowError as e:
+        raise FieldOverflowError(th) from e
+    p0, p1, p2, p3 = p
+    s0, s1, s2, s3 = s
+    wp = (p0 * ep + s0, p1 * ep + s1, p2 * ep + s2, p3 * ep + s3)
+    wm = (p0 * em + s0, p1 * em + s1, p2 * em + s2, p3 * em + s3)
+    # each candidate's class, its null band written out on the components
+    w0, w1, w2, w3 = wp
+    threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    if not _TINY <= threshold <= _HUGE:
+        ((w0, w1, w2, w3),) = _rescaled(FourVector(*wp))
+        threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    q = w0 * w0 - w1 * w1 - w2 * w2 - w3 * w3
+    cp = _NULL if abs(q) <= threshold else _TIMELIKE if q > 0.0 else _SPACELIKE
+    w0, w1, w2, w3 = wm
+    threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    if not _TINY <= threshold <= _HUGE:
+        ((w0, w1, w2, w3),) = _rescaled(FourVector(*wm))
+        threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    q = w0 * w0 - w1 * w1 - w2 * w2 - w3 * w3
+    cm = _NULL if abs(q) <= threshold else _TIMELIKE if q > 0.0 else _SPACELIKE
     return th, wp, wm, cp, cm, select(cp, cm)
 
 
@@ -243,7 +251,7 @@ def classify_batch(
     Returns (codes, theta, w_plus_sq, w_minus_sq): codes index
     tuple(Selection); theta and the (unscaled) candidate norms w.w are NaN
     where p.s ~ 0. Each quantity is computed with the scalar path's
-    operations in its order, and a row theta or causal_class would rescale
+    operations in its order, and a row theta or _candidates would rescale
     is rescaled the same way; only numpy's arcsinh and exp may differ from
     math's in the last bit. On the first row, in row order, where
     _candidates raises, raises the same error: FieldOverflowError where p
@@ -277,7 +285,7 @@ def classify_batch(
             norms.append(q_w)
             thr = tols.causal * w_e
             out = ~((thr >= _TINY) & (thr <= _HUGE))
-            if out.any():  # as causal_class rescales the candidate
+            if out.any():  # as _candidates rescales the candidate
                 (v,) = _rescaled(np.array(w)[:, out])
                 q_w = q_w.copy()
                 q_w[out], thr[out] = inner(v, v), tols.causal * euclidean_sq(v)
@@ -330,6 +338,8 @@ def analyze_point(
         )
     plane = plane_class(pol.p_mu, pol.s_mu, tols)
     th, wp, wm, cp, cm, sel = _candidates(pol.p_mu, pol.s_mu, tols)
+    if wp is not None:
+        wp, wm = FourVector(*wp), FourVector(*wm)
     return PointAnalysis(
         x=x,
         psi=pol.psi,

@@ -5,11 +5,13 @@ down, and the inner product reads a0*b0 - a1*b1 - a2*b2 - a3*b3 on
 components (the same formula applies to a pair of contravariant vectors).
 Natural units hbar = c = 1, so gradient covectors carry units of mass.
 
-Causal verdicts are tolerance-based and relative to a Euclidean component
-scale, which makes them invariant under overall rescaling well above the
-tolerance; vectors so small or large that their squares under- or overflow
-are classified after an exact power-of-two rescale. The zero vector
-classifies as null; callers treat null as a boundary verdict, not an error.
+Plane verdicts here, and the causal classes of the candidate covectors
+(construction._candidates), are tolerance-based and relative to a
+Euclidean component scale, which makes them invariant under overall
+rescaling well above the tolerance; vectors so small or large that their
+squares under- or overflow are classified after an exact power-of-two
+rescale. The zero vector classifies as null; callers treat null as a
+boundary verdict, not an error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "FourVector",
     "inner",
     "euclidean_sq",
-    "causal_class",
     "plane_class",
 ]
 
@@ -146,32 +147,6 @@ def _rescaled(*vs):
     return tuple(np.ldexp(a, e) for a in arrays)
 
 
-def causal_class(
-    v: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
-) -> CausalClass:
-    """Classify v as timelike, spacelike, or null.
-
-    Null means |v.v| <= tols.causal * (component square sum), so the
-    verdict is unit-independent and the zero vector is null rather than an
-    error. Where that threshold is zero, subnormal or infinite (the squares
-    under- or overflowed), both sides are computed again on v rescaled by an
-    exact power of two, which moves neither of them relative to the other.
-    """
-    # euclidean_sq and inner written out on the components, in their order
-    v0, v1, v2, v3 = v
-    threshold = tols.causal * (v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3)
-    if not _TINY <= threshold <= _HUGE:
-        (v,) = _rescaled(v)
-        v0, v1, v2, v3 = v
-        threshold = tols.causal * euclidean_sq(v)
-    q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
-    if abs(q) <= threshold:
-        return CausalClass.NULL
-    if q > 0.0:
-        return CausalClass.TIMELIKE
-    return CausalClass.SPACELIKE
-
-
 def plane_class(
     a: FourVector, b: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
 ) -> PlaneClass:
@@ -190,7 +165,7 @@ def plane_class(
     invariant under invertible change of the spanning pair away from
     tolerance boundaries. Where the threshold is zero, subnormal or
     infinite, a and b are each rescaled by an exact power of two first,
-    as in causal_class.
+    as _candidates rescales a candidate.
     """
     threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)
     if not _TINY <= threshold <= _HUGE:

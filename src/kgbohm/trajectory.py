@@ -11,10 +11,14 @@ and the cause is recorded. No continuation rule is invented past such a
 region and no interpolation to its boundary is attempted.
 
 A stage evaluates only what the velocity needs: the polar split, theta,
-the two candidates, their causal classes and the selection, through the
-same scalar functions as analyze_point, so every verdict and covector is
-analyze_point's bit for bit. A stage returns its verdict as a value, with
-no tangent where the velocity is ill-defined, and integrate names the
+the two candidates, their causal classes and the selection, in the one
+float-level pass that analyze_point also takes (Superposition's mode loop,
+then construction._candidates), so every verdict and covector is
+analyze_point's bit for bit. It builds no object but the unit tangent and
+the selected covector, as plain tuples; the stage points and the RK4
+update are formed on their components, and a FourVector is built only for
+an accepted point. A stage returns its verdict as a value, with no
+tangent where the velocity is ill-defined, and integrate names the
 termination from it. The Gram-criterion cross-check is not part of a
 stage: it stays in analyze_point, behind classify and verify. A selected
 covector whose square under- or overflows is normalized after an exact
@@ -42,7 +46,6 @@ from .minkowski import (
     _check_count,
     _positive_finite,
     _rescaled,
-    inner,
 )
 from .wavefield import Superposition
 
@@ -71,6 +74,7 @@ _TERMINATION = {
     Selection.ORTHOGONAL_DEGENERATE: Termination.ENTERED_ORTHOGONAL_DEGENERATE,
     Selection.BOUNDARY: Termination.ENTERED_BOUNDARY,
     Selection.NODE: Termination.HIT_NODE,
+    None: Termination.OVERFLOW,  # a phase k.x, p, s or exp(theta) not finite
 }
 
 
@@ -112,30 +116,77 @@ class TrajectoryResult:
     failed_at: FourVector | None = None
 
 
-def _stage(
-    w: Superposition, x: FourVector, tols: Tolerances
-) -> tuple[FourVector | None, FourVector | None, Selection]:
-    """(unit tangent, selected covector, verdict) at x: one RK4 stage. The
-    first two are None where the verdict leaves the velocity ill-defined."""
-    pol = w.polar_gradients(x, tols)
-    if pol.p_mu is None:
+def _stage(w: Superposition, x, tols: Tolerances) -> tuple:
+    """(unit tangent, selected covector, verdict) at the event x: one RK4
+    stage, with the tangent and the covector as plain 4-tuples. The first
+    two are None where the verdict leaves the velocity ill-defined."""
+    g = w._log_gradient(x, tols)
+    if len(g) == 1:
         return None, None, Selection.NODE
-    _, wp, wm, _, _, sel = _candidates(pol.p_mu, pol.s_mu, tols)
+    _, r0, r1, r2, r3 = g
+    _, wp, wm, _, _, sel = _candidates(
+        (r0.real, r1.real, r2.real, r3.real), (r0.imag, r1.imag, r2.imag, r3.imag), tols
+    )
     if sel is Selection.PLUS_TIMELIKE:
         w_sel = wp
     elif sel is Selection.MINUS_TIMELIKE:
         w_sel = wm
     else:
         return None, None, sel
-    v, q = w_sel, inner(w_sel, w_sel)
+    v0, v1, v2, v3 = w_sel
+    q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     if not _TINY <= q <= _HUGE:  # the square under- or overflowed
-        (v,) = _rescaled(w_sel)
-        q = inner(v, v)
+        ((v0, v1, v2, v3),) = _rescaled(FourVector(*w_sel))
+        q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     # raise the index, normalize, and orient forward in time
     f = 1.0 / math.sqrt(q)
-    if v[0] * f < 0.0:
+    if v0 * f < 0.0:
         f = -f
-    return FourVector(v[0] * f, -v[1] * f, -v[2] * f, -v[3] * f), w_sel, sel
+    return (v0 * f, -v1 * f, -v2 * f, -v3 * f), w_sel, sel
+
+
+def _step(w: Superposition, x, u, h: float, tols: Tolerances) -> tuple:
+    """One RK4 step of size h from the event x, where the unit tangent is u.
+
+    Returns (point, tangent, selected covector, verdict) at the accepted
+    point x + (k1 + 2 (k2 + k3) + k4) h/6, with k1 = u and k2, k3, k4 the
+    tangents at the stage points x + k1 h/2, x + k2 h/2 and x + k3 h. At the
+    first stage point whose velocity is ill-defined it returns that point,
+    with tangent and covector None, and its verdict, which is None where
+    the field overflows there: a phase k.x that is infinite (math.cos(inf)
+    raises ValueError) or NaN (NaN p and s, which theta refuses with
+    FieldOverflowError), p or s not finite, or exp(theta) not representable.
+    """
+    x0, x1, x2, x3 = x
+    a0, a1, a2, a3 = u
+    half = h / 2.0
+    try:
+        y = (x0 + a0 * half, x1 + a1 * half, x2 + a2 * half, x3 + a3 * half)
+        k, _, sel = _stage(w, y, tols)
+        if k is None:
+            return y, None, None, sel
+        b0, b1, b2, b3 = k
+        y = (x0 + b0 * half, x1 + b1 * half, x2 + b2 * half, x3 + b3 * half)
+        k, _, sel = _stage(w, y, tols)
+        if k is None:
+            return y, None, None, sel
+        c0, c1, c2, c3 = k
+        y = (x0 + c0 * h, x1 + c1 * h, x2 + c2 * h, x3 + c3 * h)
+        k, _, sel = _stage(w, y, tols)
+        if k is None:
+            return y, None, None, sel
+        d0, d1, d2, d3 = k
+        sixth = h / 6.0
+        y = (
+            x0 + (a0 + (b0 + c0) * 2.0 + d0) * sixth,
+            x1 + (a1 + (b1 + c1) * 2.0 + d1) * sixth,
+            x2 + (a2 + (b2 + c2) * 2.0 + d2) * sixth,
+            x3 + (a3 + (b3 + c3) * 2.0 + d3) * sixth,
+        )
+        k, w_sel, sel = _stage(w, y, tols)
+    except (FieldOverflowError, ValueError):
+        return y, None, None, None
+    return y, k, w_sel, sel
 
 
 def integrate(
@@ -163,36 +214,20 @@ def integrate(
     u, w_sel, sel = _stage(w, x0, tols)
     if u is None:
         raise IllDefinedVelocityError(sel)
-    points = [TrajectoryPoint(0.0, x0, u, w_sel, sel)]
+    points = [TrajectoryPoint(0.0, x0, FourVector(*u), FourVector(*w_sel), sel)]
     x = x0
     tau = 0.0
     termination = Termination.MAX_STEPS
     failed_at: FourVector | None = None
     for _ in range(cfg.max_steps):
-        ks = [u]
-        try:
-            # the stage points x + k1 h/2, x + k2 h/2 and x + k3 h, then the
-            # accepted point x + (k1 + 2 (k2 + k3) + k4) h/6
-            for stage_h in (h / 2.0, h / 2.0, h, h / 6.0):
-                v = ks[-1] if len(ks) < 4 else [
-                    a + (b + c) * 2.0 + d for a, b, c, d in zip(*ks)
-                ]
-                stage_x = FourVector(*(a + b * stage_h for a, b in zip(x, v)))
-                k, w_sel, sel = _stage(w, stage_x, tols)
-                if k is None:
-                    break
-                ks.append(k)
-        except (FieldOverflowError, ValueError):
-            # a stage point where some phase k.x is not finite: math.cos(inf)
-            # raises ValueError; a NaN phase gives NaN p and s, which theta refuses
-            termination, failed_at = Termination.OVERFLOW, stage_x
+        y, u, w_sel, sel = _step(w, x, u, h, tols)
+        if u is None:
+            termination = _TERMINATION[sel]
+            failed_at = FourVector(*y)
             break
-        if k is None:
-            termination, failed_at = _TERMINATION[sel], stage_x
-            break
-        x, u = stage_x, k
+        x = FourVector(*y)
         tau += h
-        points.append(TrajectoryPoint(tau, x, u, w_sel, sel))
+        points.append(TrajectoryPoint(tau, x, FourVector(*u), FourVector(*w_sel), sel))
     return TrajectoryResult(points=points, termination=termination, failed_at=failed_at)
 
 

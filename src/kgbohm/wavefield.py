@@ -137,9 +137,23 @@ class Superposition:
         Where |psi| <= tols.node * sum_i |c_i| (the nodal set) p_mu and s_mu
         are None, as the batch kernel's node mask says; the threshold is
         relative to the maximum attainable |psi|, so nodal detection is
-        scale-free in the amplitudes. psi and the gradient are summed term
-        by term in mode order, so a plain loop over the modes gives the same
-        bits.
+        scale-free in the amplitudes.
+        """
+        g = self._log_gradient(x, tols)
+        if len(g) == 1:
+            return PolarGradients(g[0], None, None)
+        psi, r0, r1, r2, r3 = g
+        return PolarGradients(
+            psi=psi,
+            p_mu=FourVector(r0.real, r1.real, r2.real, r3.real),
+            s_mu=FourVector(r0.imag, r1.imag, r2.imag, r3.imag),
+        )
+
+    def _log_gradient(self, x, tols: Tolerances) -> tuple:
+        """(psi, g0 / psi, g1 / psi, g2 / psi, g3 / psi) at the event x, any
+        sequence of four floats, with g = grad(psi); (psi,) alone on the
+        nodal set. psi and the gradient are summed term by term in mode
+        order, so a plain loop over the modes gives the same bits.
         """
         # psi and the gradient fused, one cos/sin per mode
         x0, x1, x2, x3 = x
@@ -154,16 +168,8 @@ class Superposition:
             g2 += f * k2
             g3 += f * k3
         if abs(psi) <= tols.node * self.amp_sum:
-            return PolarGradients(psi, None, None)
-        r0 = g0 / psi
-        r1 = g1 / psi
-        r2 = g2 / psi
-        r3 = g3 / psi
-        return PolarGradients(
-            psi=psi,
-            p_mu=FourVector(r0.real, r1.real, r2.real, r3.real),
-            s_mu=FourVector(r0.imag, r1.imag, r2.imag, r3.imag),
-        )
+            return (psi,)
+        return psi, g0 / psi, g1 / psi, g2 / psi, g3 / psi
 
     def polar_gradients_batch(
         self, x: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES

@@ -12,6 +12,7 @@ from kgbohm import (
     FourVector,
     PlaneWaveMode,
     Superposition,
+    Tolerances,
     euclidean_sq,
     grid_scan,
     inner,
@@ -131,6 +132,37 @@ def to_dict(w):
 def classify_pair(p, s, tols=DEFAULT_TOLERANCES):
     """The verdict of a raw (p, s) pair on the scalar path."""
     return _candidates(p, s, tols)[-1]
+
+
+def w_fields(p, s, th):
+    """The candidates (exp(th) p + s, -exp(-th) p + s) as FourVectors, with
+    _candidates' operations in its order: the reference of the band checks."""
+    ep, em = math.exp(th), -math.exp(-th)
+    return (
+        FourVector(*(a * ep + b for a, b in zip(p, s))),
+        FourVector(*(a * em + b for a, b in zip(p, s))),
+    )
+
+
+def candidate_class(v, tols=DEFAULT_TOLERANCES):
+    """The causal class _candidates gives the vector 2v, as the plus
+    candidate exp(0) p + s of p = v + d and s = v - d, or None where that
+    pair is degenerate.
+
+    p.p and s.s are equal bit for bit, so theta is exactly 0. Where v has a
+    zero component, d is 4 max|v_i| (4 for the zero vector) there, which
+    keeps p.s = v.v - d.d far from 0 even where v is null; elsewhere d is
+    zero, and the p.s ~ 0 threshold is the smallest subnormal, so p = s = v
+    is degenerate only where v.v is (nearly) 0.
+    """
+    d = [0.0] * 4
+    if 0.0 in v:
+        d[list(v).index(0.0)] = 4.0 * (max(map(abs, v)) or 1.0)
+    p = FourVector(*(c + e for c, e in zip(v, d)))
+    s = FourVector(*(c - e for c, e in zip(v, d)))
+    th, wp, _, cp, _, _ = _candidates(p, s, Tolerances(causal=tols.causal, ortho=5e-324))
+    assert th is None or wp == tuple(c * 2.0 for c in v)
+    return cp
 
 
 def near(value, scale, tol):

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from kgbohm import (
+    DEFAULT_TOLERANCES,
     TALLY_KEYS,
     BothTimelikeError,
     FourVector,
@@ -33,8 +34,8 @@ from kgbohm import (
     sample_pair_space,
 )
 from kgbohm.cli import main
-from kgbohm.construction import select, theta, w_fields
-from kgbohm.minkowski import causal_class, euclidean_sq, plane_class
+from kgbohm.construction import _candidates
+from kgbohm.minkowski import euclidean_sq, plane_class
 from support import evaluate, gradient, random_point, random_superposition
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
@@ -119,14 +120,12 @@ def pair_bank():
     for row in rows:
         p = FourVector(row[0], row[1], row[2], row[3])
         s = FourVector(row[4], row[5], row[6], row[7])
-        th = theta(p, s)
-        if th is None:
-            continue
-        wp, wm = w_fields(p, s, th)
         try:
-            sel = select(causal_class(wp), causal_class(wm))
+            th, wp, wm, _, _, sel = _candidates(p, s, DEFAULT_TOLERANCES)
         except BothTimelikeError:
             tt += 1
+            continue
+        if th is None:
             continue
         finite += 1
         scale = math.sqrt(euclidean_sq(wp)) * math.sqrt(euclidean_sq(wm))

@@ -42,7 +42,6 @@ from kgbohm import (
     plane_class,
     sample_pair_space,
     theta,
-    w_fields,
 )
 from kgbohm.construction import _candidates, classify_batch
 from kgbohm.minkowski import _rescaled
@@ -53,6 +52,7 @@ from support import (
     packet,
     raise_index,
     scaled,
+    w_fields,
 )
 
 SELECTIONS = tuple(Selection)
@@ -177,11 +177,7 @@ def test_classify_batch_matches_classify_pair_on_normal_pairs():
     checked = 0
     for i, row in enumerate(pairs.tolist()):
         p, s = FourVector(*row[:4]), FourVector(*row[4:])
-        sel = classify_pair(p, s, TOLS)
-        wp = wm = None
-        if sel is not Selection.ORTHOGONAL_DEGENERATE:
-            t = theta(p, s, TOLS)
-            wp, wm = w_fields(p, s, t)
+        t, wp, wm, _, _, sel = _candidates(p, s, TOLS)
         if in_band(p, s, wp, wm):
             continue
         checked += 1
@@ -206,7 +202,7 @@ def scalar_outcome(p, s):
         return type(exc), None, None
     if sel is Selection.ORTHOGONAL_DEGENERATE:
         return sel, None, None
-    return (sel, *w_fields(p, s, theta(p, s, TOLS)))
+    return (sel, *map(FourVector._make, _candidates(p, s, TOLS)[1:3]))
 
 
 @given(vectors, vectors, st.sampled_from([-600, 600]))
@@ -224,7 +220,7 @@ def test_classify_batch_on_pairs_rescaled_far_from_one(p, s, e):
 
 
 def scalar_margins(p, s, wp, wm):
-    """The pair and its candidates as theta and causal_class rescale them,
+    """The pair and its candidates as theta and _candidates rescale them,
     which moves no margin against its threshold."""
     p, s = _rescaled(p, s)
     if wp is None:
@@ -426,7 +422,7 @@ INF_THETA = FourVector(0.0, 2.225073858507e-311, 0.0, 0.0), FourVector(1.0, 2.0,
 def test_infinite_theta_pair_gets_its_verdict():
     # p and s span the (x0, x1) plane, which is Lorentzian; exactly,
     # -exp(-theta) p + s = (1, 0.5, 0, 0) is timelike. Computed, exp(-theta)
-    # is inf, 0 * inf makes the candidate NaN, and causal_class calls it
+    # is inf, 0 * inf makes the candidate NaN, and its null band calls it
     # spacelike, so the verdict is both_spacelike.
     p, s = INF_THETA
     assert plane_class(p, s) is PlaneClass.LORENTZIAN_PLANE
@@ -453,7 +449,7 @@ def scalar_codes(pairs):
 @pytest.mark.parametrize("codes", [batch_codes, scalar_codes], ids=["batch", "scalar"])
 def test_pairs_near_the_float_maximum_keep_their_verdicts(codes):
     # At 2^1020 the candidate exp(+-theta) p + s of some timelike verdicts
-    # overflows to inf, inner(w, w) is NaN, and causal_class calls it
+    # overflows to inf, inner(w, w) is NaN, and its null band calls it
     # spacelike: 865 of these rows turn both_spacelike on both paths.
     assert np.array_equal(codes(scaled_pairs(1020)), codes(scaled_pairs(0)))
 
@@ -484,7 +480,7 @@ def test_theta_rescales_pairs_whose_squares_under_or_overflow(e):
     assert SELECTIONS[codes[0]] is Selection.PLUS_TIMELIKE
     assert th[0] == th[1] and close(th[0], theta(PLUS_P, PLUS_S), abs(th[0]))
     # the norms are those of the candidates of the given pair, not rescaled
-    wp, wm = w_fields(p, s, theta(p, s))
+    wp, wm = _candidates(p, s, TOLS)[1:3]
     np.testing.assert_allclose([wp_sq[0], wm_sq[0]], [inner(wp, wp), inner(wm, wm)], rtol=RTOL)
     # the candidates of normal pairs scaled by 2^e and 2^-e in turn: each row
     # gets its own power of two before each test, so every verdict is the
@@ -551,7 +547,7 @@ def test_bulk_paths_run_without_the_scalar_path(monkeypatch, cx):
         raise AssertionError("a bulk path called the scalar path")
 
     for module in (kgbohm.construction, kgbohm.measure):
-        for name in ("theta", "w_fields", "causal_class", "_candidates", "analyze_point"):
+        for name in ("theta", "select", "_candidates", "analyze_point"):
             monkeypatch.setattr(module, name, scalar_path, raising=False)
     assert bulk() == want
     with pytest.raises(BothTimelikeError):

@@ -147,6 +147,30 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["selection"] == "minus_timelike"
 
+    def test_closed_stdout_exits_quietly(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+        argv = [sys.executable, "-m", "kgbohm.cli", "classify", "--builtin",
+                "counterexample", "--x", "-2.3e-05", "0.1", "0.2", "0"]
+        # as `| head -1`: the reader closes the pipe after the first line.
+        # Whether the last write lands before that close is a race, so the
+        # status is 0 or 1; there is never a traceback.
+        for _ in range(2):
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            with proc.stderr:
+                assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) in (0, 1)
+        # a pipe closed before the first write: always 1
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+
     def test_node_is_an_answer(self, capsys, config_file, null_field):
         path = config_file(null_field)
         code, out, err = run(

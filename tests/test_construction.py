@@ -18,21 +18,22 @@ from kgbohm import (
     Superposition,
     Tolerances,
     analyze_point,
-    causal_class,
     euclidean_sq,
     inner,
     select,
     theta,
-    w_fields,
 )
+from kgbohm.construction import _candidates
 from kgbohm.minkowski import _HUGE, _TINY, _rescaled
 from support import (
+    candidate_class,
     classify_pair,
     evaluate,
     random_point,
     random_superposition,
     scaled,
     two_mode_polar_oracle,
+    w_fields,
 )
 
 ORIGIN = FourVector(0.0, 0.0, 0.0, 0.0)
@@ -120,7 +121,8 @@ def reference_theta(p, s, ortho_tol):
 
 
 def reference_causal_class(v, tol):
-    """causal_class built from inner and euclidean_sq, in the same way."""
+    """A candidate's causal class from inner and euclidean_sq, with the null
+    band and rescale of _candidates."""
     threshold = tol * euclidean_sq(v)
     if not _TINY <= threshold <= _HUGE:
         (v,) = _rescaled(v)
@@ -169,48 +171,60 @@ def test_theta_and_causal_class_keep_their_operation_order(
         th, ref = theta(p, s, Tolerances(ortho=tol)), reference_theta(p, s, tol)
         assert (th is None) == (ref is None)
         assert th is None or th.hex() == ref.hex()
-    vectors = [p, s, near_null]
-    if th is not None:
-        try:
-            vectors += w_fields(p, s, th)
-        except FieldOverflowError:
-            pass
-    for v in vectors:
+    for v in (p, s, near_null):  # classed as the candidate 2v (support.candidate_class)
         (u,) = _rescaled(v)
         for tol in (class_tol, edge(inner(u, u), euclidean_sq(u))):
             if 0.0 < tol <= _HUGE:
-                got = causal_class(v, Tolerances(causal=tol))
-                assert got is reference_causal_class(v, tol)
+                got = candidate_class(v, Tolerances(causal=tol))
+                want = reference_causal_class(scaled(v, 2.0), tol)
+                assert got is want or (got is None and want is CausalClass.NULL)
+    if th is None:
+        return
+    try:
+        candidates = w_fields(p, s, th)
+    except OverflowError:  # exp(+-theta): TestWFields::test_overflowing_angle
+        return
+    for j, w in enumerate(candidates):
+        (u,) = _rescaled(w)
+        for tol in (class_tol, edge(inner(u, u), euclidean_sq(u))):
+            if 0.0 < tol <= _HUGE:
+                try:
+                    out = _candidates(p, s, Tolerances(causal=tol, ortho=ortho))
+                except BothTimelikeError:
+                    assert {reference_causal_class(c, tol) for c in candidates} == {
+                        CausalClass.TIMELIKE
+                    }
+                    continue
+                assert [c.hex() for c in out[1 + j]] == [c.hex() for c in w]
+                assert out[3 + j] is reference_causal_class(w, tol)
 
 
 class TestWFields:
+    """The candidates exp(theta) p + s and -exp(-theta) p + s of _candidates."""
+
     def test_mutual_orthogonality_at_origin(self, cx):
         pol = cx.polar_gradients(ORIGIN)
-        th = theta(pol.p_mu, pol.s_mu)
-        wp, wm = w_fields(pol.p_mu, pol.s_mu, th)
+        _, wp, wm = _candidates(pol.p_mu, pol.s_mu, DEFAULT_TOLERANCES)[:3]
         scale = math.sqrt(euclidean_sq(wp)) * math.sqrt(euclidean_sq(wm))
         assert abs(inner(wp, wm)) <= 1e-12 * scale
 
     def test_frozen_origin_components(self, cx):
         pol = cx.polar_gradients(ORIGIN)
-        wp, wm = w_fields(pol.p_mu, pol.s_mu, theta(pol.p_mu, pol.s_mu))
+        _, wp, wm = _candidates(pol.p_mu, pol.s_mu, DEFAULT_TOLERANCES)[:3]
         for got, want in zip(wp, W_PLUS):
             assert got == pytest.approx(want, abs=1e-12 * abs(W_MINUS[1]))
         for got, want in zip(wm, W_MINUS):
             assert got == pytest.approx(want, abs=1e-12 * abs(W_MINUS[1]))
 
     def test_overflowing_angle(self):
-        p = FourVector(0.0, 1.0, 0.0, 0.0)
-        s = FourVector(1.0, 1.0, 0.0, 0.0)
-        with pytest.raises(FieldOverflowError):
-            w_fields(p, s, 800.0)
-        with pytest.raises(FieldOverflowError):
-            w_fields(p, s, -800.0)
-
-    def test_nan_angle_rejected(self):
-        p = FourVector(0.0, 1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            w_fields(p, p, math.nan)
+        # (p.p - s.s) / (2 p.s) = +-1e308, so |theta| = 709.87 and exp(|theta|)
+        # is not representable; the overflow is refused, never saturated
+        p = FourVector(1.0, 0.0, 0.0, 0.0)
+        for s in (FourVector(5e-309, 0.0, 0.0, 0.0), FourVector(-5e-309, 0.0, 0.0, 0.0)):
+            th = theta(p, s)
+            assert 709.8 < abs(th) < 710.0
+            with pytest.raises(FieldOverflowError, match="exp\\(theta\\) with theta = "):
+                _candidates(p, s, DEFAULT_TOLERANCES)
 
 
 class TestSelect:

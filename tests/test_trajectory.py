@@ -7,7 +7,6 @@ from support import evaluate, gradient, raise_index, random_superposition, scale
 
 import kgbohm.construction as construction_mod
 from kgbohm import (
-    FieldOverflowError,
     FourVector,
     IllDefinedVelocityError,
     Selection,
@@ -140,18 +139,16 @@ class TestIntegrate:
         assert res.failed_at is not None
 
     def test_overflow_is_reported(self, two_mode, monkeypatch):
-        # the candidates of the start are fine; those of every stage point
-        # overflow
-        real = construction_mod.w_fields
+        # the candidates of the start are fine; at every stage point theta
+        # reads 800, whose exp(theta) _candidates refuses
+        real = construction_mod.theta
         calls = {"n": 0}
 
-        def exploding(p, s, th):
+        def exploding(p, s, tols):
             calls["n"] += 1
-            if calls["n"] > 1:
-                raise FieldOverflowError(th)
-            return real(p, s, th)
+            return real(p, s, tols) if calls["n"] == 1 else 800.0
 
-        monkeypatch.setattr(construction_mod, "w_fields", exploding)
+        monkeypatch.setattr(construction_mod, "theta", exploding)
         res = integrate(two_mode, GOOD_START, TrajectoryConfig(step=0.1, max_steps=5))
         assert res.termination is Termination.OVERFLOW
         assert len(res.points) == 1
