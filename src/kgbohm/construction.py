@@ -20,12 +20,13 @@ the nodal set where the polar split itself is undefined.
 
 No fallback velocity is invented for the broken cases; exposing them is
 the point. Every event gets a verdict, and the node and p.s ~ 0 cases are
-values all the way down, never exceptions: polar_gradients gives no p and
-s on the nodal set, theta gives None where p.s ~ 0, and analyze_point turns
-those into the NODE and ORTHOGONAL_DEGENERATE verdicts. One scalar sequence,
-_candidates, decides a single (p, s) pair for analyze_point and the
-trajectory stages, in one pass on Python floats: theta, the candidates and
-each candidate's null band on the components, then select.
+values all the way down, never exceptions: polar_gradients returns psi
+with p and s None on the nodal set, theta gives None where p.s ~ 0, and
+analyze_point turns those into the NODE and ORTHOGONAL_DEGENERATE
+verdicts. One scalar sequence, polar_gradients then _candidates, decides
+a single event for analyze_point and the trajectory stages, in one pass
+on Python floats: the mode loop, theta, the candidates and each
+candidate's null band on the components, then select.
 
 classify_batch is the same verdict on N pairs at once, for the bulk paths
 (measure, sample-pairs, scan). It applies the scalar path's thresholds to
@@ -331,22 +332,21 @@ def analyze_point(
     ORTHOGONAL_DEGENERATE verdict, with the fields that do not exist there
     left None.
     """
-    pol = w.polar_gradients(x, tols)
-    if pol.p_mu is None:
-        return PointAnalysis(
-            x=x, psi=pol.psi, selection=Selection.NODE, gram_consistent=True
-        )
-    plane = plane_class(pol.p_mu, pol.s_mu, tols)
-    th, wp, wm, cp, cm, sel = _candidates(pol.p_mu, pol.s_mu, tols)
+    psi, p, s = w.polar_gradients(x, tols)
+    if p is None:
+        return PointAnalysis(x=x, psi=psi, selection=Selection.NODE, gram_consistent=True)
+    p, s = FourVector(*p), FourVector(*s)
+    plane = plane_class(p, s, tols)
+    th, wp, wm, cp, cm, sel = _candidates(p, s, tols)
     if wp is not None:
         wp, wm = FourVector(*wp), FourVector(*wm)
     return PointAnalysis(
         x=x,
-        psi=pol.psi,
+        psi=psi,
         selection=sel,
         gram_consistent=_gram_consistent(sel, plane),
-        p_mu=pol.p_mu,
-        s_mu=pol.s_mu,
+        p_mu=p,
+        s_mu=s,
         plane=plane,
         theta=th,
         w_plus=wp,

@@ -24,7 +24,7 @@ class NodeError(KgBohmError):
     """Wave function magnitude at or below the nodal threshold.
 
     Not raised by the package: polar_gradients reports the nodal set as a
-    value (p_mu and s_mu None) and analyze_point as the NODE verdict. Kept
+    value, (psi, None, None), and analyze_point as the NODE verdict. Kept
     importable for bench/workloads.py, which still names it.
     """
 
@@ -45,7 +45,8 @@ class BothTimelikeError(KgBohmError):
 
 class FieldOverflowError(KgBohmError):
     """exp(|theta|), or a component of p or s (theta None), is not
-    representable in double precision."""
+    representable in double precision; theta None also covers a phase k.x
+    that is not finite, where psi itself is undefined."""
 
     def __init__(self, theta: float | None = None):
         super().__init__(

@@ -12,18 +12,19 @@ region and no interpolation to its boundary is attempted.
 
 A stage evaluates only what the velocity needs: the polar split, theta,
 the two candidates, their causal classes and the selection, in the one
-float-level pass that analyze_point also takes (Superposition's mode loop,
-then construction._candidates), so every verdict and covector is
-analyze_point's bit for bit. It builds no object but the unit tangent and
-the selected covector, as plain tuples; the stage points and the RK4
-update are formed on their components, and a FourVector is built only for
-an accepted point. A stage returns its verdict as a value, with no
-tangent where the velocity is ill-defined, and integrate names the
-termination from it. The Gram-criterion cross-check is not part of a
-stage: it stays in analyze_point, behind classify and verify. A selected
-covector whose square under- or overflows is normalized after an exact
-power-of-two rescale, so scaling every mode covector by a power of two
-scales the path by its inverse, bit for bit.
+float-level pass that analyze_point also takes
+(Superposition.polar_gradients, then construction._candidates), so every
+verdict and covector is analyze_point's bit for bit. It builds no object
+but the unit tangent and the selected covector, as plain tuples; the
+stage points and the RK4 update are formed on their components, and a
+FourVector is built only for an accepted point. A stage returns its
+verdict as a value, with no tangent where the velocity is ill-defined,
+and integrate names the termination from it. The Gram-criterion
+cross-check is not part of a stage: it stays in analyze_point, behind
+classify and verify. A selected covector whose square under- or
+overflows is normalized after an exact power-of-two rescale, so scaling
+every mode covector by a power of two scales the path by its inverse,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -120,13 +121,10 @@ def _stage(w: Superposition, x, tols: Tolerances) -> tuple:
     """(unit tangent, selected covector, verdict) at the event x: one RK4
     stage, with the tangent and the covector as plain 4-tuples. The first
     two are None where the verdict leaves the velocity ill-defined."""
-    g = w._log_gradient(x, tols)
-    if len(g) == 1:
+    _, p, s = w.polar_gradients(x, tols)
+    if p is None:
         return None, None, Selection.NODE
-    _, r0, r1, r2, r3 = g
-    _, wp, wm, _, _, sel = _candidates(
-        (r0.real, r1.real, r2.real, r3.real), (r0.imag, r1.imag, r2.imag, r3.imag), tols
-    )
+    _, wp, wm, _, _, sel = _candidates(p, s, tols)
     if sel is Selection.PLUS_TIMELIKE:
         w_sel = wp
     elif sel is Selection.MINUS_TIMELIKE:
@@ -153,9 +151,8 @@ def _step(w: Superposition, x, u, h: float, tols: Tolerances) -> tuple:
     tangents at the stage points x + k1 h/2, x + k2 h/2 and x + k3 h. At the
     first stage point whose velocity is ill-defined it returns that point,
     with tangent and covector None, and its verdict, which is None where
-    the field overflows there: a phase k.x that is infinite (math.cos(inf)
-    raises ValueError) or NaN (NaN p and s, which theta refuses with
-    FieldOverflowError), p or s not finite, or exp(theta) not representable.
+    the field overflows there (FieldOverflowError): a phase k.x that is not
+    finite, p or s not finite, or exp(theta) not representable.
     """
     x0, x1, x2, x3 = x
     a0, a1, a2, a3 = u
@@ -184,7 +181,7 @@ def _step(w: Superposition, x, u, h: float, tols: Tolerances) -> tuple:
             x3 + (a3 + (b3 + c3) * 2.0 + d3) * sixth,
         )
         k, w_sel, sel = _stage(w, y, tols)
-    except (FieldOverflowError, ValueError):
+    except FieldOverflowError:
         return y, None, None, None
     return y, k, w_sel, sel
 

@@ -21,8 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
+from .errors import FieldOverflowError
 from .minkowski import (
     DEFAULT_TOLERANCES,
     FourVector,
@@ -36,7 +36,6 @@ from .minkowski import (
 __all__ = [
     "ON_SHELL_RTOL",
     "PlaneWaveMode",
-    "PolarGradients",
     "Superposition",
     "counterexample",
     "load_superposition",
@@ -51,17 +50,6 @@ class PlaneWaveMode:
 
     k: FourVector
     c: complex
-
-
-class PolarGradients(NamedTuple):
-    """psi and its log-gradient split at one point, p_mu + i*s_mu = grad(psi)/psi.
-
-    On the nodal set the split is undefined and p_mu and s_mu are None.
-    """
-
-    psi: complex
-    p_mu: FourVector | None
-    s_mu: FourVector | None
 
 
 def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
@@ -130,46 +118,38 @@ class Superposition:
         )
 
     def polar_gradients(
-        self, x: FourVector, tols: Tolerances = DEFAULT_TOLERANCES
-    ) -> PolarGradients:
-        """Split grad(psi)/psi into real and imaginary covectors at x.
+        self, x, tols: Tolerances = DEFAULT_TOLERANCES
+    ) -> tuple[complex, tuple | None, tuple | None]:
+        """(psi, p, s) at the event x, any sequence of four floats, with
+        p_mu + i*s_mu = grad(psi)/psi and p and s plain 4-tuples of floats.
 
-        Where |psi| <= tols.node * sum_i |c_i| (the nodal set) p_mu and s_mu
-        are None, as the batch kernel's node mask says; the threshold is
+        Where |psi| <= tols.node * sum_i |c_i| (the nodal set) p and s are
+        None, as the batch kernel's node mask says; the threshold is
         relative to the maximum attainable |psi|, so nodal detection is
-        scale-free in the amplitudes.
+        scale-free in the amplitudes. psi and the gradient are summed term
+        by term in mode order, so a plain loop over the modes gives the same
+        bits. Raises FieldOverflowError where a phase k.x is infinite; a NaN
+        phase gives NaN p and s, which theta refuses the same way.
         """
-        g = self._log_gradient(x, tols)
-        if len(g) == 1:
-            return PolarGradients(g[0], None, None)
-        psi, r0, r1, r2, r3 = g
-        return PolarGradients(
-            psi=psi,
-            p_mu=FourVector(r0.real, r1.real, r2.real, r3.real),
-            s_mu=FourVector(r0.imag, r1.imag, r2.imag, r3.imag),
-        )
-
-    def _log_gradient(self, x, tols: Tolerances) -> tuple:
-        """(psi, g0 / psi, g1 / psi, g2 / psi, g3 / psi) at the event x, any
-        sequence of four floats, with g = grad(psi); (psi,) alone on the
-        nodal set. psi and the gradient are summed term by term in mode
-        order, so a plain loop over the modes gives the same bits.
-        """
-        # psi and the gradient fused, one cos/sin per mode
         x0, x1, x2, x3 = x
         psi = g0 = g1 = g2 = g3 = 0j
-        for k0, k1, k2, k3, c, ic in self._terms:
-            phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
-            e = complex(math.cos(phase), math.sin(phase))
-            psi += c * e
-            f = ic * e
-            g0 += f * k0
-            g1 += f * k1
-            g2 += f * k2
-            g3 += f * k3
+        try:  # psi and the gradient fused, one cos/sin per mode
+            for k0, k1, k2, k3, c, ic in self._terms:
+                phase = k0 * x0 + k1 * x1 + k2 * x2 + k3 * x3
+                e = complex(math.cos(phase), math.sin(phase))
+                psi += c * e
+                f = ic * e
+                g0 += f * k0
+                g1 += f * k1
+                g2 += f * k2
+                g3 += f * k3
+        except ValueError as exc:  # math.cos of an infinite phase
+            raise FieldOverflowError() from exc
         if abs(psi) <= tols.node * self.amp_sum:
-            return (psi,)
-        return psi, g0 / psi, g1 / psi, g2 / psi, g3 / psi
+            return psi, None, None
+        r0, r1, r2, r3 = g0 / psi, g1 / psi, g2 / psi, g3 / psi
+        p = (r0.real, r1.real, r2.real, r3.real)
+        return psi, p, (r0.imag, r1.imag, r2.imag, r3.imag)
 
     def polar_gradients_batch(
         self, x: np.ndarray, tols: Tolerances = DEFAULT_TOLERANCES
@@ -178,10 +158,11 @@ class Superposition:
 
         Returns (psi, p, s, node): psi complex (N,), p and s (N, 4), and
         node, True where |psi| <= tols.node * sum_i |c_i|; p and s are NaN
-        on those rows. psi and the gradient are accumulated mode by mode
-        in polar_gradients' order, and divided as Python divides complex
-        numbers, so every value equals the scalar path's wherever numpy's sin
-        and cos equal math's.
+        on those rows, where polar_gradients gives None, and on rows whose
+        phase k.x is not finite. psi and the gradient are accumulated mode
+        by mode in polar_gradients' order, and divided as Python divides
+        complex numbers, so every value equals the scalar path's wherever
+        numpy's sin and cos equal math's.
         """
         import numpy as np
 

@@ -134,13 +134,13 @@ def test_batch_kernel_matches_analyze_point(name, tols):
     for i, row in enumerate(x.tolist()):
         ev = FourVector(*row)
         assert psi[i] == pytest.approx(evaluate(w, ev), rel=1e-12, abs=1e-12 * w.amp_sum)
-        pol = w.polar_gradients(ev, tols)
-        if pol.p_mu is None:
-            assert node[i] and pol.s_mu is None
+        _, p_i, s_i = w.polar_gradients(ev, tols)
+        if p_i is None:
+            assert node[i] and s_i is None
             continue
         assert not node[i]
-        g = math.sqrt(euclidean_sq(pol.p_mu) + euclidean_sq(pol.s_mu))
-        for got, want in zip(np.concatenate([p[i], s[i]]), (*pol.p_mu, *pol.s_mu)):
+        g = math.sqrt(euclidean_sq(p_i) + euclidean_sq(s_i))
+        for got, want in zip(np.concatenate([p[i], s[i]]), (*p_i, *s_i)):
             assert abs(got - want) <= 1e-12 * g
         try:
             scalar[i] = analyze_point(w, ev, tols)
@@ -371,6 +371,17 @@ def test_kernel_raises_where_the_scalar_path_raises():
     p, s = INF_THETA
     assert theta(p, s) == -math.inf
     assert SELECTIONS[classify_batch(np.array([p]), np.array([s]))[0][0]] is classify_pair(p, s)
+
+
+def test_an_infinite_phase_raises_the_same_error_on_both_paths():
+    # the second mode's phase k.x is inf here: math.cos(inf) raises on the
+    # scalar path, np.cos(inf) makes the row's p and s NaN on the batch path
+    cx, x = counterexample(), FourVector(1e308, 1e308, 0.0, 0.0)
+    with pytest.raises(FieldOverflowError) as scalar:
+        analyze_point(cx, x)
+    with pytest.raises(FieldOverflowError) as batch:
+        kgbohm.measure._verdicts(cx, np.array([x]), TOLS)
+    assert str(scalar.value) == str(batch.value)
 
 
 H = math.sqrt(sys.float_info.max)

@@ -61,12 +61,10 @@ any_component = st.one_of(
 
 class TestTheta:
     def test_frozen_origin_value(self, cx):
-        pol = cx.polar_gradients(ORIGIN)
-        assert theta(pol.p_mu, pol.s_mu) == pytest.approx(THETA, rel=1e-12)
-        assert math.sinh(theta(pol.p_mu, pol.s_mu)) == pytest.approx(
-            SINH_THETA, rel=1e-12
-        )
-        assert inner(pol.p_mu, pol.s_mu) == pytest.approx(
+        _, p, s = cx.polar_gradients(ORIGIN)
+        assert theta(p, s) == pytest.approx(THETA, rel=1e-12)
+        assert math.sinh(theta(p, s)) == pytest.approx(SINH_THETA, rel=1e-12)
+        assert inner(p, s) == pytest.approx(
             2.5575931773818676, rel=1e-12
         )
 
@@ -203,14 +201,14 @@ class TestWFields:
     """The candidates exp(theta) p + s and -exp(-theta) p + s of _candidates."""
 
     def test_mutual_orthogonality_at_origin(self, cx):
-        pol = cx.polar_gradients(ORIGIN)
-        _, wp, wm = _candidates(pol.p_mu, pol.s_mu, DEFAULT_TOLERANCES)[:3]
+        _, p, s = cx.polar_gradients(ORIGIN)
+        _, wp, wm = _candidates(p, s, DEFAULT_TOLERANCES)[:3]
         scale = math.sqrt(euclidean_sq(wp)) * math.sqrt(euclidean_sq(wm))
         assert abs(inner(wp, wm)) <= 1e-12 * scale
 
     def test_frozen_origin_components(self, cx):
-        pol = cx.polar_gradients(ORIGIN)
-        _, wp, wm = _candidates(pol.p_mu, pol.s_mu, DEFAULT_TOLERANCES)[:3]
+        _, p, s = cx.polar_gradients(ORIGIN)
+        _, wp, wm = _candidates(p, s, DEFAULT_TOLERANCES)[:3]
         for got, want in zip(wp, W_PLUS):
             assert got == pytest.approx(want, abs=1e-12 * abs(W_MINUS[1]))
         for got, want in zip(wm, W_MINUS):

@@ -7,9 +7,11 @@ from support import evaluate, gradient, raise_index, random_superposition, scale
 
 import kgbohm.construction as construction_mod
 from kgbohm import (
+    DEFAULT_TOLERANCES,
     FourVector,
     IllDefinedVelocityError,
     Selection,
+    Superposition,
     Termination,
     Tolerances,
     TrajectoryConfig,
@@ -271,14 +273,34 @@ class TestLeanStage:
                 assert a.selection is TERMINATION_VERDICT[res.termination]
         assert {Termination.MAX_STEPS, stop} <= seen, seen
 
+    def test_every_stage_calls_the_public_evaluator(self, cx, monkeypatch):
+        real = Superposition.polar_gradients
+        calls = []
+
+        def counted(self, x, tols=DEFAULT_TOLERANCES):
+            calls.append(x)
+            return real(self, x, tols)
+
+        monkeypatch.setattr(Superposition, "polar_gradients", counted)
+        res = integrate(cx, FourVector(-0.6, -0.45, 0.4, 0.0), TrajectoryConfig(0.02, 400))
+        assert res.termination is Termination.ENTERED_BOTH_SPACELIKE
+        # the start, 4 stages per accepted step, 1 to 4 in the step that stopped
+        steps = len(res.points) - 1
+        assert steps > 0 and 1 <= len(calls) - 1 - 4 * steps <= 4
+        assert calls[: 4 * steps + 1 : 4] == [pt.x for pt in res.points]
+        assert calls[-1] == res.failed_at
+        calls.clear()
+        analyze_point(cx, res.failed_at)
+        assert calls == [res.failed_at]
+
     @staticmethod
     def assert_polar_split_is_the_ratio(w, x):
-        pol = w.polar_gradients(x)
+        got_psi, p, s = w.polar_gradients(x)
         psi = evaluate(w, x)
         ratios = [g / psi for g in gradient(w, x)]
-        assert pol.psi == psi
-        assert pol.p_mu == FourVector(*(r.real for r in ratios))
-        assert pol.s_mu == FourVector(*(r.imag for r in ratios))
+        assert got_psi == psi
+        assert p == tuple(r.real for r in ratios)
+        assert s == tuple(r.imag for r in ratios)
 
 
 class TestConfigValidation:
