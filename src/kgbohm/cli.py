@@ -17,10 +17,10 @@ it could not be computed (ill-defined trajectory start, verification
 mismatch, both candidates classified timelike, p or s not finite), or
 its output could not be written because stdout was closed first (a pipe
 into `head`, say), which exits quietly, with no traceback; 2 means bad
-input (usage, config validation or reading, out-of-range flag, a verify
---mass below 2^-1030, an event or box corner at which some mode's phase
-k.x overflows, an --out whose directory does not exist or that names a
-directory, or whose <out>.manifest.json sidecar path names a directory).
+input (usage, config validation or reading, out-of-range flag, an event
+or box corner at which some mode's phase k.x overflows, an --out whose
+directory does not exist or that names a directory, or whose
+<out>.manifest.json sidecar path names a directory).
 """
 
 from __future__ import annotations
@@ -198,16 +198,8 @@ def _refuse_phase_overflow(w: Superposition, lo, hi, flag: str) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    m = args.mass
-    try:
-        w = counterexample(m)
-    except ValueError as exc:  # sqrt(27) m overflows, or rounds off shell
-        raise _CliError(f"--mass: {exc}") from None
-    if m < 2.0**-1030:
-        raise _CliError(
-            f"--mass: {m!r} is below 2^-1030 (about 8.7e-311), where the subnormal "
-            f"p and s keep too few bits for the {VERIFY_RTOL:g} comparison"
-        )
+    w = counterexample()
+    m = w.mass
     origin = FourVector(0.0, 0.0, 0.0, 0.0)
     a = analyze_point(w, origin)
 
@@ -381,9 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify",
         help="check the built-in three-wave example against its closed form",
-    )
-    p.add_argument(
-        "--mass", type=_positive, default=1.0, help="particle mass (default 1)"
     )
     p.set_defaults(func=cmd_verify)
 

@@ -8,10 +8,10 @@ Natural units hbar = c = 1, so gradient covectors carry units of mass.
 Plane verdicts here, and the causal classes of the candidate covectors
 (construction._candidates), are tolerance-based and relative to a
 Euclidean component scale, which makes them invariant under overall
-rescaling well above the tolerance; vectors so small or large that their
-squares under- or overflow are classified after an exact power-of-two
-rescale. The zero vector classifies as null; callers treat null as a
-boundary verdict, not an error.
+rescaling well above the tolerance. A plane's spanning pair is always
+classified after an exact power-of-two rescale, a candidate only where its
+squares under- or overflow. The zero vector classifies as null; callers
+treat null as a boundary verdict, not an error.
 """
 
 from __future__ import annotations
@@ -163,14 +163,12 @@ def plane_class(
     Linearly dependent inputs land in the degenerate verdict since their
     Gram determinant vanishes. The verdict depends only on G, hence is
     invariant under invertible change of the spanning pair away from
-    tolerance boundaries. Where the threshold is zero, subnormal or
-    infinite, a and b are each rescaled by an exact power of two first,
-    as _candidates rescales a candidate.
+    tolerance boundaries. a and b are each first rescaled by the power of
+    two that brings their largest |component| into [0.5, 1), so neither the
+    threshold nor the products of det G can overflow.
     """
+    (a,), (b,) = _rescaled(a), _rescaled(b)
     threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)
-    if not _TINY <= threshold <= _HUGE:
-        (a,), (b,) = _rescaled(a), _rescaled(b)
-        threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)
     aa = inner(a, a)
     ab = inner(a, b)
     bb = inner(b, b)

@@ -197,7 +197,8 @@ def integrate(
     any RK4 stage point has an ill-defined velocity or an overflowing field
     (exp(theta), p or s, or a phase k.x that is not finite), recording the
     cause and the offending stage point. An x0 with an ill-defined velocity
-    raises IllDefinedVelocityError instead of returning a result.
+    raises IllDefinedVelocityError instead of returning a result. x0 may be
+    any four real numbers; the first point stores them as floats.
 
     Deterministic: identical inputs give bit-identical point sequences.
     """
@@ -208,6 +209,7 @@ def integrate(
         )
     tols = cfg.tols
     h = cfg.step
+    x0 = FourVector(*map(float, x0))
     u, w_sel, sel = _stage(w, x0, tols)
     if u is None:
         raise IllDefinedVelocityError(sel)

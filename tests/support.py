@@ -1,6 +1,6 @@
 """Shared builders for randomized test inputs, and the test oracles: psi, its
-gradient, index raising, the config writer, the verdict of a raw pair and
-the lattice path against the event path."""
+gradient, the stress-energy tensor, index raising, the config writer, the
+verdict of a raw pair and the lattice path against the event path."""
 
 import cmath
 import math
@@ -107,6 +107,19 @@ def gradient(w, x):
         g2 += f * k2
         g3 += f * k3
     return (g0, g1, g2, g3)
+
+
+def stress_energy(w, x):
+    """(T, L) at x: the Klein-Gordon stress-energy tensor T^mu_nu, a 4x4
+    array with the first index raised, and the Lagrangian L, where
+    T_mu_nu = 2 Re(d_mu psi* d_nu psi) - g_mu_nu L and
+    L = d psi* . d psi - m^2 |psi|^2. Both come from psi and its gradient
+    summed over the modes, with no polar split and no theta."""
+    psi, d = evaluate(w, x), gradient(w, x)
+    g = np.diag([1.0, -1.0, -1.0, -1.0])
+    lower = np.array([[2.0 * (a.conjugate() * b).real for b in d] for a in d])
+    lagrangian = sum(g[i, i] * abs(d[i]) ** 2 for i in range(4)) - w.mass**2 * abs(psi) ** 2
+    return g @ (lower - g * lagrangian), lagrangian
 
 
 def raise_index(v):

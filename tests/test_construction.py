@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kgbohm import (
     DEFAULT_TOLERANCES,
@@ -18,6 +18,7 @@ from kgbohm import (
     Superposition,
     Tolerances,
     analyze_point,
+    counterexample,
     euclidean_sq,
     inner,
     select,
@@ -29,9 +30,12 @@ from support import (
     candidate_class,
     classify_pair,
     evaluate,
+    packet,
+    raise_index,
     random_point,
     random_superposition,
     scaled,
+    stress_energy,
     two_mode_polar_oracle,
     w_fields,
 )
@@ -385,12 +389,59 @@ class TestAnalyzePoint:
             assert a.selection is b.selection
             assert a.theta == pytest.approx(b.theta, rel=1e-9)
 
+    def test_origin_verdicts_at_every_mass(self):
+        # p and s scale with m and every verdict is homogeneous of degree 0 in
+        # them, so the origin's report holds at every mass the example can be
+        # built at: each power of two from 2^-1030, below which subnormal p and
+        # s keep too few bits for 1e-12, to 2^1021, where sqrt(27) m is still
+        # finite; plus a mass whose squares underflow and two near the ends
+        masses = [math.ldexp(1.0, e) for e in range(-1030, 1022)]
+        failed = []
+        for m in masses + [2.409919865102884e-181, 1e-310, 3e307]:
+            a = analyze_point(counterexample(m), ORIGIN)
+            alpha, beta = ALPHA * m, BETA * m
+            p_err = max(map(abs, [a.p_mu[0], a.p_mu[1] - alpha, a.p_mu[2] + alpha, a.p_mu[3]]))
+            s_err = max(map(abs, [a.s_mu[0], a.s_mu[1] + beta, a.s_mu[2], a.s_mu[3]]))
+            if not (
+                p_err <= 1e-12 * alpha
+                and s_err <= 1e-12 * beta
+                and a.class_plus is a.class_minus is CausalClass.SPACELIKE
+                and a.selection is Selection.BOTH_SPACELIKE
+                and a.plane is PlaneClass.SPACELIKE_PLANE
+                and a.gram_consistent
+            ):
+                failed.append(m)
+        assert failed == []
+
     def test_gram_consistency_over_random_sweep(self):
         rng = np.random.default_rng(21)
         for _ in range(500):
             w = random_superposition(rng)
             a = analyze_point(w, random_point(rng))
             assert a.gram_consistent, (w, a)
+
+
+STRESS_ENERGY_FIELDS = (counterexample(), packet(3), packet(5, 8))
+
+
+@given(
+    st.sampled_from(STRESS_ENERGY_FIELDS),
+    st.builds(FourVector, *[st.floats(min_value=-1.0, max_value=1.0)] * 4),
+)
+def test_candidates_are_stress_energy_eigenvectors(w, x):
+    # Horton, Dewdney and Nesteruk define the two candidates as eigenvectors
+    # of T; the plane orthogonal to p and s is T's eigenspace of -L
+    a = analyze_point(w, x)
+    assume(a.w_plus is not None)
+    t, lagrangian = stress_energy(w, x)
+    scale = np.linalg.norm(t)
+    for c in (a.w_plus, a.w_minus):
+        v = np.array(raise_index(c))
+        tv = t @ v
+        residual = tv - (v @ tv) / (v @ v) * v
+        assert np.linalg.norm(residual) <= 1e-10 * scale * np.linalg.norm(v)
+    singular = np.linalg.svd(t + lagrangian * np.eye(4), compute_uv=False)
+    assert singular[2] <= 1e-10 * scale
 
 
 class TestClassifyPair:

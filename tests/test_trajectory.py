@@ -348,6 +348,21 @@ class TestCsvOutput:
             "# termination: entered_both_spacelike"
         )
 
+    def test_start_is_stored_as_floats(self, cx, tmp_path):
+        # a tuple, or numpy components, writes what a FourVector of floats does
+        cfg = TrajectoryConfig(step=0.02, max_steps=20)
+        starts = {
+            "floats": FourVector(-0.6, -0.45, 0.4, 0.0),
+            "tuple": (-0.6, -0.45, 0.4, 0),
+            "numpy": FourVector(*np.array([-0.6, -0.45, 0.4, 0.0])),
+        }
+        written = {}
+        for name, x0 in starts.items():
+            out = tmp_path / f"{name}.csv"
+            write_trajectory_csv(integrate(cx, x0, cfg), out)
+            written[name] = out.read_bytes()
+        assert written["tuple"] == written["numpy"] == written["floats"]
+
 
 def _path_record(w, x0, cfg):
     """One line per accepted point (tau, x, u, w in float.hex, selection),

@@ -355,6 +355,21 @@ class TestCounterexampleBuilder:
         with pytest.raises(ValueError):
             counterexample(0.0)
 
+    @pytest.mark.parametrize(
+        "mass, reason",
+        [
+            # sqrt(27) m overflows
+            (1.7976931348623157e308, "non-finite"),
+            (6e307, "non-finite"),
+            # subnormal sqrt(27) m and sqrt(26) m round off the mass shell
+            (5e-324, "off the mass shell"),
+            (1e-320, "off the mass shell"),
+        ],
+    )
+    def test_mass_at_the_float_extremes_refused(self, mass, reason):
+        with pytest.raises(ValueError, match=reason):
+            counterexample(mass)
+
     def test_bool_mass_refused(self):
         with pytest.raises(ValueError, match="mass"):
             counterexample(True)
