@@ -365,14 +365,14 @@ class TestCsvOutput:
 
 
 def _path_record(w, x0, cfg):
-    """One line per accepted point (tau, x, u, w in float.hex, selection),
-    then the termination and failed_at; or the verdict of a refused start."""
+    """One line per accepted point (tau, x, u in float.hex, selection), then
+    the termination and failed_at; or the verdict of a refused start."""
     try:
         res = integrate(w, x0, cfg)
     except IllDefinedVelocityError as exc:
         return f"refused {exc.selection.value}\n", None
     lines = [
-        " ".join([pt.tau.hex(), *(c.hex() for v in pt[1:4] for c in v), pt.selection.value])
+        " ".join([pt.tau.hex(), *(c.hex() for v in (pt.x, pt.u) for c in v), pt.selection.value])
         for pt in res.points
     ]
     failed = "none" if res.failed_at is None else " ".join(c.hex() for c in res.failed_at)
@@ -386,24 +386,26 @@ class TestPathPin:
     change to the floating-point operations of a step moves a digest."""
 
     # case: (field, tolerances, seed, starts, outcomes seen, paths digest,
-    # CSV digest), recorded before the RK4 step moved off FourVector operators
+    # CSV digest); the CSV digests were recorded before the RK4 step moved
+    # off FourVector operators, the paths digests before points dropped the
+    # selected covector
     CASES = {
         "counterexample": (
             "cx", Tolerances(), 41, 200,
             ["entered_both_spacelike", "max_steps", "refused"],
-            "dfd78f2616b0c699d31f835fcd4122a84e4abae09bbbf51b517a7031d2558d7a",
+            "a0d455a8fff6e54104b6a7fdf469a101657b4a9d78211b49f0171611c7b8a741",
             "f04921401ea0ec606080847c50075e46fca00ee1ceb5baa34b7379b8d2c0c856",
         ),
         "24-mode-packet": (
             "packet", Tolerances(), 42, 40,
             ["entered_both_spacelike", "max_steps", "refused"],
-            "6a45f39c6423b4721ab15117cfb7f3d67c398f25859f2d41a3a7ae2fac20023c",
+            "ae246f1257339db472ce783d89312ec002a8040137e8c320ab4e513c044d452f",
             "dacd249ec5e2310752f5463feb63e420a37a5b0a7d2693180dfb2c523c2ba400",
         ),
         "widened-node": (
             "cx", Tolerances(node=0.3), 43, 60,
             ["entered_both_spacelike", "hit_node", "refused"],
-            "f52621d1662cf649c21b1ebc6627677330f4449365276c694aceb053c5db222e",
+            "3250940f8fb21b38fba474740be4241dbc120de99cc29a3a9e4f27dbbc0f4a88",
             "8d87a5f6d05fe8384f9275208c3d4e044cc6208ecc9e8131d27aa229132f95df",
         ),
     }
