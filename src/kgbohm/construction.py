@@ -149,7 +149,7 @@ def theta(
         * math.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3)
     )
     if not _TINY <= threshold <= _HUGE:
-        p, s = _rescaled(FourVector(*p), FourVector(*s))
+        p, s = _rescaled(p, s)
         p0, p1, p2, p3 = p
         s0, s1, s2, s3 = s
         threshold = tols.ortho * (math.sqrt(euclidean_sq(p)) * math.sqrt(euclidean_sq(s)))
@@ -221,14 +221,14 @@ def _candidates(p, s, tols: Tolerances) -> tuple:
     w0, w1, w2, w3 = wp
     threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
     if not _TINY <= threshold <= _HUGE:
-        ((w0, w1, w2, w3),) = _rescaled(FourVector(*wp))
+        ((w0, w1, w2, w3),) = _rescaled(wp)
         threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
     q = w0 * w0 - w1 * w1 - w2 * w2 - w3 * w3
     cp = _NULL if abs(q) <= threshold else _TIMELIKE if q > 0.0 else _SPACELIKE
     w0, w1, w2, w3 = wm
     threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
     if not _TINY <= threshold <= _HUGE:
-        ((w0, w1, w2, w3),) = _rescaled(FourVector(*wm))
+        ((w0, w1, w2, w3),) = _rescaled(wm)
         threshold = tols.causal * (w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
     q = w0 * w0 - w1 * w1 - w2 * w2 - w3 * w3
     cm = _NULL if abs(q) <= threshold else _TIMELIKE if q > 0.0 else _SPACELIKE

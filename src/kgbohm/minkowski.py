@@ -130,10 +130,12 @@ def euclidean_sq(v: FourVector) -> float:
 
 
 def _rescaled(*vs):
-    """The FourVectors or (4, N) component arrays vs, as the same kind, each
-    column times the power of two that brings its largest |component| across
-    vs into [0.5, 1); an all-zero or non-finite column comes back unchanged."""
-    if isinstance(vs[0], FourVector):  # the scalar path stays in Python floats
+    """The vectors vs, each column times the power of two that brings its
+    largest |component| across vs into [0.5, 1); an all-zero or non-finite
+    column comes back unchanged. Sequences of four floats come back as
+    FourVectors; (4, N) component arrays, told apart by their ndim, come
+    back as arrays."""
+    if not hasattr(vs[0], "ndim"):  # the scalar path stays in Python floats
         cs = [c for v in vs for c in v]
         # max skips a NaN that does not come first, so every component is
         # tested for finiteness, as numpy's max propagates the NaN
@@ -163,9 +165,10 @@ def plane_class(
     Linearly dependent inputs land in the degenerate verdict since their
     Gram determinant vanishes. The verdict depends only on G, hence is
     invariant under invertible change of the spanning pair away from
-    tolerance boundaries. a and b are each first rescaled by the power of
-    two that brings their largest |component| into [0.5, 1), so neither the
-    threshold nor the products of det G can overflow.
+    tolerance boundaries. a and b may be any sequences of four floats; each
+    is first rescaled by the power of two that brings its largest
+    |component| into [0.5, 1), so neither the threshold nor the products of
+    det G can overflow.
     """
     (a,), (b,) = _rescaled(a), _rescaled(b)
     threshold = tols.causal * euclidean_sq(a) * euclidean_sq(b)

@@ -14,17 +14,17 @@ A stage evaluates only what the velocity needs: the polar split, theta,
 the two candidates, their causal classes and the selection, in the one
 float-level pass that analyze_point also takes
 (Superposition.polar_gradients, then construction._candidates), so every
-verdict and covector is analyze_point's bit for bit. It builds no object
-but the unit tangent and the selected covector, as plain tuples; the
-stage points and the RK4 update are formed on their components, and a
-FourVector is built only for an accepted point. A stage returns its
-verdict as a value, with no tangent where the velocity is ill-defined,
-and integrate names the termination from it. The Gram-criterion
-cross-check is not part of a stage: it stays in analyze_point, behind
-classify and verify. A selected covector whose square under- or
-overflows is normalized after an exact power-of-two rescale, so scaling
-every mode covector by a power of two scales the path by its inverse,
-bit for bit.
+verdict and selected covector is analyze_point's bit for bit. A stage
+returns only the unit tangent, as a plain tuple, and its verdict as a
+value, with no tangent where the velocity is ill-defined; integrate names
+the termination from it. A step forms its three inner stage points in one
+loop over the factors (h/2, h/2, h), and they and the RK4 update are
+formed on their components; the event and the tangent become FourVectors
+only at an accepted point. The Gram-criterion cross-check is not part of
+a stage: it stays in analyze_point, behind classify and verify. A
+selected covector whose square under- or overflows is normalized after an
+exact power-of-two rescale, so scaling every mode covector by a power of
+two scales the path by its inverse, bit for bit.
 """
 
 from __future__ import annotations
@@ -98,13 +98,12 @@ class TrajectoryConfig:
 
 
 class TrajectoryPoint(NamedTuple):
-    """One accepted point: proper time, event, unit tangent, raw selected
-    covector, and the selection verdict there."""
+    """One accepted point, as the CSV writes it: proper time, event, unit
+    tangent, and the selection verdict there."""
 
     tau: float
     x: FourVector
     u: FourVector
-    w: FourVector
     selection: Selection
 
 
@@ -118,61 +117,54 @@ class TrajectoryResult:
 
 
 def _stage(w: Superposition, x, tols: Tolerances) -> tuple:
-    """(unit tangent, selected covector, verdict) at the event x: one RK4
-    stage, with the tangent and the covector as plain 4-tuples. The first
-    two are None where the verdict leaves the velocity ill-defined."""
+    """(unit tangent, verdict) at the event x: one RK4 stage, with the
+    tangent as a plain 4-tuple, or None where the verdict leaves the
+    velocity ill-defined."""
     _, p, s = w.polar_gradients(x, tols)
     if p is None:
-        return None, None, Selection.NODE
+        return None, Selection.NODE
     _, wp, wm, _, _, sel = _candidates(p, s, tols)
     if sel is Selection.PLUS_TIMELIKE:
         w_sel = wp
     elif sel is Selection.MINUS_TIMELIKE:
         w_sel = wm
     else:
-        return None, None, sel
+        return None, sel
     v0, v1, v2, v3 = w_sel
     q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     if not _TINY <= q <= _HUGE:  # the square under- or overflowed
-        ((v0, v1, v2, v3),) = _rescaled(FourVector(*w_sel))
+        ((v0, v1, v2, v3),) = _rescaled(w_sel)
         q = v0 * v0 - v1 * v1 - v2 * v2 - v3 * v3
     # raise the index, normalize, and orient forward in time
     f = 1.0 / math.sqrt(q)
     if v0 * f < 0.0:
         f = -f
-    return (v0 * f, -v1 * f, -v2 * f, -v3 * f), w_sel, sel
+    return (v0 * f, -v1 * f, -v2 * f, -v3 * f), sel
 
 
 def _step(w: Superposition, x, u, h: float, tols: Tolerances) -> tuple:
     """One RK4 step of size h from the event x, where the unit tangent is u.
 
-    Returns (point, tangent, selected covector, verdict) at the accepted
-    point x + (k1 + 2 (k2 + k3) + k4) h/6, with k1 = u and k2, k3, k4 the
-    tangents at the stage points x + k1 h/2, x + k2 h/2 and x + k3 h. At the
-    first stage point whose velocity is ill-defined it returns that point,
-    with tangent and covector None, and its verdict, which is None where
-    the field overflows there (FieldOverflowError): a phase k.x that is not
-    finite, p or s not finite, or exp(theta) not representable.
+    Returns (point, tangent, verdict) at the accepted point
+    x + (k1 + 2 (k2 + k3) + k4) h/6, with k1 = u and k2, k3, k4 the tangents
+    at the stage points x + k1 h/2, x + k2 h/2 and x + k3 h. At the first
+    stage point whose velocity is ill-defined it returns that point, with
+    tangent None, and its verdict, which is None where the field overflows
+    there (FieldOverflowError): a phase k.x that is not finite, p or s not
+    finite, or exp(theta) not representable.
     """
     x0, x1, x2, x3 = x
-    a0, a1, a2, a3 = u
     half = h / 2.0
+    ks = [u]
     try:
-        y = (x0 + a0 * half, x1 + a1 * half, x2 + a2 * half, x3 + a3 * half)
-        k, _, sel = _stage(w, y, tols)
-        if k is None:
-            return y, None, None, sel
-        b0, b1, b2, b3 = k
-        y = (x0 + b0 * half, x1 + b1 * half, x2 + b2 * half, x3 + b3 * half)
-        k, _, sel = _stage(w, y, tols)
-        if k is None:
-            return y, None, None, sel
-        c0, c1, c2, c3 = k
-        y = (x0 + c0 * h, x1 + c1 * h, x2 + c2 * h, x3 + c3 * h)
-        k, _, sel = _stage(w, y, tols)
-        if k is None:
-            return y, None, None, sel
-        d0, d1, d2, d3 = k
+        for f in (half, half, h):
+            k0, k1, k2, k3 = ks[-1]
+            y = (x0 + k0 * f, x1 + k1 * f, x2 + k2 * f, x3 + k3 * f)
+            k, sel = _stage(w, y, tols)
+            if k is None:
+                return y, None, sel
+            ks.append(k)
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = ks
         sixth = h / 6.0
         y = (
             x0 + (a0 + (b0 + c0) * 2.0 + d0) * sixth,
@@ -180,10 +172,10 @@ def _step(w: Superposition, x, u, h: float, tols: Tolerances) -> tuple:
             x2 + (a2 + (b2 + c2) * 2.0 + d2) * sixth,
             x3 + (a3 + (b3 + c3) * 2.0 + d3) * sixth,
         )
-        k, w_sel, sel = _stage(w, y, tols)
+        k, sel = _stage(w, y, tols)
     except FieldOverflowError:
-        return y, None, None, None
-    return y, k, w_sel, sel
+        return y, None, None
+    return y, k, sel
 
 
 def integrate(
@@ -192,11 +184,11 @@ def integrate(
     """Integrate dx/dtau = u(x), the unit tangent, from x0 with fixed-step RK4.
 
     The result records every accepted point (x0 included) with its unit
-    tangent, raw selected covector, verdict, and strictly increasing proper
-    time. Stops after max_steps accepted steps, or at the first step where
-    any RK4 stage point has an ill-defined velocity or an overflowing field
-    (exp(theta), p or s, or a phase k.x that is not finite), recording the
-    cause and the offending stage point. An x0 with an ill-defined velocity
+    tangent, verdict, and strictly increasing proper time. Stops after
+    max_steps accepted steps, or at the first step where any RK4 stage
+    point has an ill-defined velocity or an overflowing field (exp(theta),
+    p or s, or a phase k.x that is not finite), recording the cause and the
+    offending stage point. An x0 with an ill-defined velocity
     raises IllDefinedVelocityError instead of returning a result. x0 may be
     any four real numbers; the first point stores them as floats.
 
@@ -210,23 +202,23 @@ def integrate(
     tols = cfg.tols
     h = cfg.step
     x0 = FourVector(*map(float, x0))
-    u, w_sel, sel = _stage(w, x0, tols)
+    u, sel = _stage(w, x0, tols)
     if u is None:
         raise IllDefinedVelocityError(sel)
-    points = [TrajectoryPoint(0.0, x0, FourVector(*u), FourVector(*w_sel), sel)]
+    points = [TrajectoryPoint(0.0, x0, FourVector(*u), sel)]
     x = x0
     tau = 0.0
     termination = Termination.MAX_STEPS
     failed_at: FourVector | None = None
     for _ in range(cfg.max_steps):
-        y, u, w_sel, sel = _step(w, x, u, h, tols)
+        y, u, sel = _step(w, x, u, h, tols)
         if u is None:
             termination = _TERMINATION[sel]
             failed_at = FourVector(*y)
             break
         x = FourVector(*y)
         tau += h
-        points.append(TrajectoryPoint(tau, x, FourVector(*u), FourVector(*w_sel), sel))
+        points.append(TrajectoryPoint(tau, x, FourVector(*u), sel))
     return TrajectoryResult(points=points, termination=termination, failed_at=failed_at)
 
 

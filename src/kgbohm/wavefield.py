@@ -71,7 +71,7 @@ def _validate_mode(index: int, mode: PlaneWaveMode, mass: float) -> None:
     # scales with, and compared on k and m scaled together by one exact
     # power of two, which moves neither side against the other, so squares
     # that under- or overflow cannot pass an off-shell mode.
-    k, mv = _rescaled(mode.k, FourVector(mass, 0.0, 0.0, 0.0))
+    k, mv = _rescaled(mode.k, (mass, 0.0, 0.0, 0.0))
     m = mv.c0
     residual = inner(k, k) - m * m
     scale = euclidean_sq(k)

@@ -28,6 +28,24 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_python(script, *args):
+    """The finished run of script in a new interpreter on this source tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def readme_commands():
+    """Every indented kgbohm command line of the README, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.replace("\\\n", " ").splitlines()
+    return [line.split() for line in lines if line.startswith("    kgbohm ")]
+
+
 def alpha_from(out):
     line = next(ln for ln in out.splitlines() if ln.startswith("alpha:"))
     return float(line.split(":", 1)[1])
@@ -853,15 +871,35 @@ print(run("measure", "--builtin", "counterexample",
           "--lo", "0", "0", "0", "0", "--hi", "1", "1", "1", "1",
           "--n", "10", "--out", out + "/m.json"))
 """
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
+        proc = fresh_python(script, str(tmp_path))
         loaded = [line for line in proc.stdout.splitlines() if line in ("True", "False")]
         assert loaded == ["False", "False", "False", "True"]
+
+    def test_plane_class_on_tuples_starts_without_numpy(self):
+        # any four-float sequences take the scalar rescale, as FourVectors do
+        script = """
+import sys
+from kgbohm import FourVector, PlaneClass, plane_class
+
+pairs = {
+    PlaneClass.SPACELIKE_PLANE: ((0.0, 1.0, 0.0, 0.0), (0.0, 0.5, 2.0, 0.0)),
+    PlaneClass.LORENTZIAN_PLANE: ((0.3, 1.2, -0.7, 0.4), (1.1, -0.2, 0.5, 0.9)),
+    PlaneClass.DEGENERATE_PLANE: ((1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1e200, 0.0)),
+}
+for want, (a, b) in pairs.items():
+    assert plane_class(a, b) is plane_class(FourVector(*a), FourVector(*b)) is want, want
+print("numpy" in sys.modules)
+"""
+        assert fresh_python(script).stdout.split() == ["False"]
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_readme_command_lines_parse(self, argv):
+        build_parser().parse_args(argv[1:])
+
+    def test_readme_shows_every_subcommand(self):
+        assert {argv[1] for argv in readme_commands()} == {
+            "verify", "classify", "scan", "trajectory", "measure", "sample-pairs",
+        }
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -30,6 +30,7 @@ from support import (
     candidate_class,
     classify_pair,
     evaluate,
+    near,
     packet,
     raise_index,
     random_point,
@@ -442,6 +443,42 @@ def test_candidates_are_stress_energy_eigenvectors(w, x):
         assert np.linalg.norm(residual) <= 1e-10 * scale * np.linalg.norm(v)
     singular = np.linalg.svd(t + lagrangian * np.eye(4), compute_uv=False)
     assert singular[2] <= 1e-10 * scale
+
+
+# timelike eigenvectors of T off its -L eigenspace, by verdict
+SPECTRAL_COUNT = {
+    Selection.BOTH_SPACELIKE: 0,
+    Selection.PLUS_TIMELIKE: 1,
+    Selection.MINUS_TIMELIKE: 1,
+}
+
+
+def test_verdict_is_read_from_the_stress_energy_spectrum():
+    # Off T's -L eigenspace (the complement of span{p, s}) its two other
+    # eigenvectors are the candidates, so they hold one timelike vector
+    # where the verdict is timelike and none where both are spacelike
+    metric = np.diag([1.0, -1.0, -1.0, -1.0])
+    rng = np.random.default_rng(3)
+    counts = {}
+    for w in STRESS_ENERGY_FIELDS:
+        for x in rng.uniform(-1.0, 1.0, size=(1000, 4)).tolist():
+            a = analyze_point(w, FourVector(*x))
+            if a.selection not in SPECTRAL_COUNT or any(
+                near(inner(u, v), math.sqrt(euclidean_sq(u) * euclidean_sq(v)), tol)
+                for u, v, tol in [
+                    (a.p_mu, a.s_mu, DEFAULT_TOLERANCES.ortho),
+                    (a.w_plus, a.w_plus, DEFAULT_TOLERANCES.causal),
+                    (a.w_minus, a.w_minus, DEFAULT_TOLERANCES.causal),
+                ]
+            ):
+                continue
+            t, lagrangian = stress_energy(w, x)
+            values, vectors = np.linalg.eig(t)
+            kept = vectors[:, np.argsort(np.abs(values + lagrangian))[2:]].real.T
+            timelike = sum(bool(v @ metric @ v > 0.0) for v in kept)
+            assert timelike == SPECTRAL_COUNT[a.selection], (w, x, a.selection)
+            counts[timelike] = counts.get(timelike, 0) + 1
+    assert counts.keys() == {0, 1}, counts
 
 
 class TestClassifyPair:

@@ -130,7 +130,6 @@ class TestIntegrate:
             assert got.tau.hex() == (want.tau * s).hex()
             assert bits(got.x) == bits(scaled(want.x, s))
             assert bits(got.u) == bits(want.u)
-            assert bits(got.w) == bits(scaled(want.w, 1.0 / s))
             assert got.selection is want.selection
 
     def test_stops_at_widened_node(self, cx):
@@ -263,7 +262,6 @@ class TestLeanStage:
                 a = analyze_point(w, pt.x, tols)
                 assert pt.selection is a.selection
                 want_w = a.w_plus if a.selection is Selection.PLUS_TIMELIKE else a.w_minus
-                assert pt.w == want_w
                 assert pt.u == unit_tangent(want_w)
                 self.assert_polar_split_is_the_ratio(w, pt.x)
             if res.termination is Termination.MAX_STEPS:
