@@ -17,10 +17,10 @@ float-level pass that analyze_point also takes
 verdict and selected covector is analyze_point's bit for bit. A stage
 returns only the unit tangent, as a plain tuple, and its verdict as a
 value, with no tangent where the velocity is ill-defined; integrate names
-the termination from it. A step forms its three inner stage points in one
-loop over the factors (h/2, h/2, h), and they and the RK4 update are
-formed on their components; the event and the tangent become FourVectors
-only at an accepted point. The Gram-criterion cross-check is not part of
+the termination from it. A step runs one stage block in a loop over the
+factors (h/2, h/2, h); the stage points and the RK4 update are formed on
+their components, and the event and the tangent become FourVectors only
+at an accepted point. The Gram-criterion cross-check is not part of
 a stage: it stays in analyze_point, behind classify and verify. A
 selected covector whose square under- or overflows is normalized after an
 exact power-of-two rescale, so scaling every mode covector by a power of
